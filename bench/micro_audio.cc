@@ -1,13 +1,19 @@
-// Micro-benchmarks for the audio substrate: clip features, MFCC, GMM
-// scoring and the BIC speaker-change test.
+// Micro-benchmarks for the audio substrate: clip features, MFCC, the FFT
+// and pitch kernels under them, GMM scoring and the BIC speaker-change
+// test. Kernel timings follow the active dispatch level
+// (CLASSMINER_DISABLE_SIMD=1 pins scalar).
 
 #include <benchmark/benchmark.h>
+
+#include <complex>
+#include <vector>
 
 #include "audio/bic.h"
 #include "audio/features.h"
 #include "audio/gmm.h"
 #include "audio/mfcc.h"
 #include "synth/audio_generator.h"
+#include "util/fft.h"
 #include "util/rng.h"
 
 namespace classminer {
@@ -35,6 +41,31 @@ void BM_Mfcc(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Mfcc)->Unit(benchmark::kMillisecond);
+
+void BM_Fft(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  util::Rng rng(11);
+  std::vector<std::complex<double>> input(n);
+  for (auto& x : input) x = {rng.Uniform(-1.0, 1.0), 0.0};
+  std::vector<std::complex<double>> buf(n);
+  for (auto _ : state) {
+    buf = input;
+    util::Fft(&buf);
+    benchmark::DoNotOptimize(buf.data());
+  }
+}
+BENCHMARK(BM_Fft)->Arg(512)->Unit(benchmark::kMicrosecond);
+
+// One voiced 30 ms analysis frame at 16 kHz: 235 lags over 480 samples.
+void BM_FramePitchFrame(benchmark::State& state) {
+  const audio::AudioBuffer clip = SpeechClip(1, 0.5);
+  const std::vector<double> frame(clip.samples().begin() + 4000,
+                                  clip.samples().begin() + 4480);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(audio::internal::FramePitch(frame, 16000));
+  }
+}
+BENCHMARK(BM_FramePitchFrame)->Unit(benchmark::kMicrosecond);
 
 void BM_GmmTrain(benchmark::State& state) {
   util::Rng rng(7);

@@ -45,6 +45,7 @@
 #include "skim/summary.h"
 #include "synth/corpus.h"
 #include "util/failpoint.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -151,7 +152,9 @@ int CmdGenerate(const std::vector<std::string>& args) {
     if (args[i] == "--title" && i + 1 < args.size()) {
       title = args[++i];
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = std::stoull(args[++i]);
+      if (!util::ParseFlag(util::ParseUint64Arg(args[++i], "--seed"), &seed)) {
+        return Usage();
+      }
     } else if (args[i] == "--degraded") {
       degraded = true;
     } else {
@@ -206,7 +209,10 @@ int CmdMine(const std::vector<std::string>& args) {
   bool fast = false;
   for (size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--threads" && i + 1 < args.size()) {
-      options.thread_count = std::stoi(args[++i]);
+      if (!util::ParseFlag(util::ParseIntArg(args[++i], "--threads"),
+                           &options.thread_count)) {
+        return Usage();
+      }
     } else if (args[i] == "--strict") {
       strict = true;
     } else if (args[i] == "--fast") {
@@ -264,7 +270,9 @@ int CmdSkim(const std::vector<std::string>& args) {
   std::string html_path, storyboard_path;
   for (size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--level" && i + 1 < args.size()) {
-      level = std::stoi(args[++i]);
+      if (!util::ParseFlag(util::ParseIntArg(args[++i], "--level"), &level)) {
+        return Usage();
+      }
     } else if (args[i] == "--html" && i + 1 < args.size()) {
       html_path = args[++i];
     } else if (args[i] == "--storyboard" && i + 1 < args.size()) {
@@ -322,7 +330,10 @@ int CmdBrowse(const std::vector<std::string>& args) {
   std::vector<std::string> paths;
   for (size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--clearance" && i + 1 < args.size()) {
-      clearance = std::stoi(args[++i]);
+      if (!util::ParseFlag(util::ParseIntArg(args[++i], "--clearance"),
+                           &clearance)) {
+        return Usage();
+      }
     } else if (args[i] == "--strict") {
       strict = true;
     } else {
@@ -349,11 +360,16 @@ int CmdIndex(const std::vector<std::string>& args) {
   std::vector<std::string> paths;
   for (size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--threads" && i + 1 < args.size()) {
-      options.thread_count = std::stoi(args[++i]);
+      if (!util::ParseFlag(util::ParseIntArg(args[++i], "--threads"),
+                           &options.thread_count)) {
+        return Usage();
+      }
     } else if (args[i] == "--strict") {
       strict = true;
     } else if (args[i] == "--shards" && i + 1 < args.size()) {
-      shards = std::stoi(args[++i]);
+      if (!util::ParseFlag(util::ParseIntArg(args[++i], "--shards"), &shards)) {
+        return Usage();
+      }
     } else if (args[i] == "--append") {
       append = true;
     } else {
@@ -434,7 +450,10 @@ int CmdRepair(const std::vector<std::string>& args) {
     if (args[i] == "--media" && i + 1 < args.size()) {
       media_dir = args[++i];
     } else if (args[i] == "--threads" && i + 1 < args.size()) {
-      options.thread_count = std::stoi(args[++i]);
+      if (!util::ParseFlag(util::ParseIntArg(args[++i], "--threads"),
+                           &options.thread_count)) {
+        return Usage();
+      }
     } else {
       return Usage();
     }
@@ -463,7 +482,9 @@ int CmdCompact(const std::vector<std::string>& args) {
   bool force = false;
   for (size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--shard" && i + 1 < args.size()) {
-      shard = std::stoi(args[++i]);
+      if (!util::ParseFlag(util::ParseIntArg(args[++i], "--shard"), &shard)) {
+        return Usage();
+      }
     } else if (args[i] == "--force") {
       force = true;
     } else {

@@ -19,6 +19,7 @@
 // covers dropped connections, not just admission-control kUnavailable.
 // Every other failure is final and printed to stderr.
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "server/client.h"
+#include "util/parse.h"
 #include "util/retry.h"
 
 namespace {
@@ -69,21 +71,44 @@ int main(int argc, char** argv) {
     } else if (arg == "--host" && i + 1 < argc) {
       options.host = argv[++i];
     } else if (arg == "--port" && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
+      if (!util::ParseFlag(util::ParseIntArg(argv[++i], "--port", 0, 65535),
+                           &port)) {
+        return Usage();
+      }
     } else if (arg == "--user" && i + 1 < argc) {
       options.hello.user = argv[++i];
     } else if (arg == "--clearance" && i + 1 < argc) {
-      options.hello.clearance = std::atoi(argv[++i]);
+      if (!util::ParseFlag(util::ParseIntArg(argv[++i], "--clearance"),
+                           &options.hello.clearance)) {
+        return Usage();
+      }
     } else if (arg == "--deny" && i + 1 < argc) {
-      options.hello.denied_nodes.push_back(std::atoi(argv[++i]));
+      int node = 0;
+      if (!util::ParseFlag(util::ParseIntArg(argv[++i], "--deny"), &node)) {
+        return Usage();
+      }
+      options.hello.denied_nodes.push_back(node);
     } else if (arg == "--deadline" && i + 1 < argc) {
-      deadline_ms = static_cast<uint32_t>(std::atol(argv[++i]));
+      if (!util::ParseFlag(
+              util::ParseIntArg(argv[++i], "--deadline", 0, INT_MAX),
+              &deadline_ms)) {
+        return Usage();
+      }
     } else if (arg == "--retries" && i + 1 < argc) {
-      retries = std::atoi(argv[++i]);
+      if (!util::ParseFlag(util::ParseIntArg(argv[++i], "--retries"),
+                           &retries)) {
+        return Usage();
+      }
     } else if (arg == "--pipeline" && i + 1 < argc) {
-      pipeline = std::atoi(argv[++i]);
+      if (!util::ParseFlag(util::ParseIntArg(argv[++i], "--pipeline"),
+                           &pipeline)) {
+        return Usage();
+      }
     } else if (arg == "--repeat" && i + 1 < argc) {
-      repeat = std::atoi(argv[++i]);
+      if (!util::ParseFlag(util::ParseIntArg(argv[++i], "--repeat"),
+                           &repeat)) {
+        return Usage();
+      }
     } else if (!arg.empty() && arg[0] != '-') {
       command = arg;
     } else {

@@ -25,6 +25,7 @@
 // `--chaos server.wire.send.torn=p:0.05:7,server.accept.reset=every:20`).
 // Only for test rigs — armed sites inject real faults into live traffic.
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +37,7 @@
 
 #include "server/server.h"
 #include "util/failpoint.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -72,8 +74,13 @@ bool ArmChaosEntry(const std::string& entry) {
     return true;
   }
   if (spec.rfind("every:", 0) == 0) {
-    const int n = std::atoi(spec.c_str() + 6);
-    if (n < 1) return false;
+    int n = 0;
+    if (!classminer::util::ParseFlag(
+            classminer::util::ParseIntArg(spec.substr(6), "every:N", 1,
+                                          INT_MAX),
+            &n)) {
+      return false;
+    }
     classminer::util::FailPoint::Arm(site, Spec::EveryN(n));
     return true;
   }
@@ -83,7 +90,12 @@ bool ArmChaosEntry(const std::string& entry) {
     const double p = std::atof(rest.substr(0, colon).c_str());
     uint64_t seed = 1;
     if (colon != std::string::npos) {
-      seed = static_cast<uint64_t>(std::atoll(rest.c_str() + colon + 1));
+      if (!classminer::util::ParseFlag(
+              classminer::util::ParseUint64Arg(rest.substr(colon + 1),
+                                               "p:PROB:SEED"),
+              &seed)) {
+        return false;
+      }
       if (seed == 0) seed = 1;
     }
     if (p <= 0.0 || p > 1.0) return false;
@@ -116,40 +128,79 @@ int main(int argc, char** argv) {
     if (arg == "--host" && i + 1 < argc) {
       options.host = argv[++i];
     } else if (arg == "--port" && i + 1 < argc) {
-      options.port = std::atoi(argv[++i]);
+      if (!util::ParseFlag(util::ParseIntArg(argv[++i], "--port", 0, 65535),
+                           &options.port)) {
+        return Usage();
+      }
     } else if (arg == "--threads" && i + 1 < argc) {
-      options.worker_threads = std::atoi(argv[++i]);
+      if (!util::ParseFlag(util::ParseIntArg(argv[++i], "--threads"),
+                           &options.worker_threads)) {
+        return Usage();
+      }
     } else if (arg == "--queue" && i + 1 < argc) {
-      options.max_queue = std::atoi(argv[++i]);
+      if (!util::ParseFlag(util::ParseIntArg(argv[++i], "--queue"),
+                           &options.max_queue)) {
+        return Usage();
+      }
     } else if (arg == "--max-conn" && i + 1 < argc) {
-      options.max_connections = std::atoi(argv[++i]);
+      if (!util::ParseFlag(util::ParseIntArg(argv[++i], "--max-conn"),
+                           &options.max_connections)) {
+        return Usage();
+      }
     } else if (arg == "--media" && i + 1 < argc) {
       options.media_dir = argv[++i];
     } else if (arg == "--pipeline" && i + 1 < argc) {
-      options.max_pipeline = std::atoi(argv[++i]);
+      if (!util::ParseFlag(util::ParseIntArg(argv[++i], "--pipeline"),
+                           &options.max_pipeline)) {
+        return Usage();
+      }
     } else if (arg == "--chunk" && i + 1 < argc) {
-      options.stream_chunk_bytes =
-          static_cast<size_t>(std::atol(argv[++i]));
+      if (!util::ParseFlag(util::ParseUint64Arg(argv[++i], "--chunk"),
+                           &options.stream_chunk_bytes)) {
+        return Usage();
+      }
     } else if (arg == "--write-queue" && i + 1 < argc) {
-      options.max_write_queue_bytes =
-          static_cast<size_t>(std::atol(argv[++i]));
+      if (!util::ParseFlag(util::ParseUint64Arg(argv[++i], "--write-queue"),
+                           &options.max_write_queue_bytes)) {
+        return Usage();
+      }
     } else if (arg == "--no-cache") {
       options.enable_result_cache = false;
     } else if (arg == "--cache-bytes" && i + 1 < argc) {
-      options.cache_max_bytes = static_cast<size_t>(std::atol(argv[++i]));
+      if (!util::ParseFlag(util::ParseUint64Arg(argv[++i], "--cache-bytes"),
+                           &options.cache_max_bytes)) {
+        return Usage();
+      }
     } else if (arg == "--cache-entries" && i + 1 < argc) {
-      options.cache_max_entries =
-          static_cast<size_t>(std::atol(argv[++i]));
+      if (!util::ParseFlag(util::ParseUint64Arg(argv[++i], "--cache-entries"),
+                           &options.cache_max_entries)) {
+        return Usage();
+      }
     } else if (arg == "--idle-timeout" && i + 1 < argc) {
-      options.idle_timeout_ms = std::atoi(argv[++i]);
+      if (!util::ParseFlag(
+              util::ParseIntArg(argv[++i], "--idle-timeout", 0, INT_MAX),
+              &options.idle_timeout_ms)) {
+        return Usage();
+      }
     } else if (arg == "--max-errors" && i + 1 < argc) {
-      options.max_session_errors = std::atoi(argv[++i]);
+      if (!util::ParseFlag(util::ParseIntArg(argv[++i], "--max-errors"),
+                           &options.max_session_errors)) {
+        return Usage();
+      }
     } else if (arg == "--scrub-db" && i + 1 < argc) {
       options.scrub_db_path = argv[++i];
     } else if (arg == "--scrub-interval" && i + 1 < argc) {
-      options.scrub_interval_ms = std::atoi(argv[++i]);
+      if (!util::ParseFlag(
+              util::ParseIntArg(argv[++i], "--scrub-interval", 0, INT_MAX),
+              &options.scrub_interval_ms)) {
+        return Usage();
+      }
     } else if (arg == "--scrub-yield" && i + 1 < argc) {
-      options.scrub_max_yield_ms = std::atoi(argv[++i]);
+      if (!util::ParseFlag(
+              util::ParseIntArg(argv[++i], "--scrub-yield", 0, INT_MAX),
+              &options.scrub_max_yield_ms)) {
+        return Usage();
+      }
     } else if (arg == "--scrub-compact") {
       options.scrub_compact = true;
     } else if (arg == "--failpoints" && i + 1 < argc) {

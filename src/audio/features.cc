@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/cpu.h"
 #include "util/fft.h"
 #include "util/mathutil.h"
 
@@ -26,44 +27,16 @@ double FrameZcr(std::span<const float> frame) {
          static_cast<double>(frame.size() - 1);
 }
 
-// Autocorrelation pitch in [60, 500] Hz; 0 when unvoiced.
-double FramePitch(std::span<const float> frame, int sample_rate) {
-  const int min_lag = sample_rate / 500;
-  const int max_lag = sample_rate / 60;
-  if (static_cast<int>(frame.size()) <= max_lag || min_lag < 1) return 0.0;
-  double energy = 0.0;
-  for (float s : frame) energy += static_cast<double>(s) * s;
-  if (energy < 1e-9) return 0.0;
-
-  double best = 0.0;
-  int best_lag = 0;
-  for (int lag = min_lag; lag <= max_lag; ++lag) {
-    double acc = 0.0;
-    for (size_t i = 0; i + static_cast<size_t>(lag) < frame.size(); ++i) {
-      acc += static_cast<double>(frame[i]) * frame[i + static_cast<size_t>(lag)];
-    }
-    if (acc > best) {
-      best = acc;
-      best_lag = lag;
-    }
-  }
-  // Voicing gate: the autocorrelation peak must carry a meaningful share of
-  // the energy.
-  if (best_lag == 0 || best < 0.25 * energy) return 0.0;
-  return static_cast<double>(sample_rate) / best_lag;
-}
-
 struct SpectralStats {
   double centroid = 0.0;   // normalised to [0, 1] of Nyquist
   double bandwidth = 0.0;  // normalised
   std::array<double, 4> subband{};  // energy ratios
 };
 
-SpectralStats FrameSpectral(std::span<const float> frame, int sample_rate) {
+SpectralStats FrameSpectral(std::span<const double> frame, int sample_rate) {
   SpectralStats stats;
   if (frame.size() < 8) return stats;
-  std::vector<double> buf(frame.begin(), frame.end());
-  const std::vector<double> mags = util::MagnitudeSpectrum(buf);
+  const std::vector<double> mags = util::MagnitudeSpectrum(frame);
   const double nyquist = sample_rate / 2.0;
   const double bin_hz = nyquist / (static_cast<double>(mags.size()) - 1.0);
 
@@ -100,7 +73,89 @@ SpectralStats FrameSpectral(std::span<const float> frame, int sample_rate) {
   return stats;
 }
 
+// One pass of the lane-per-lag contract (see features.h) over lags
+// [lag, lag + kLanes): out[j] = sum over ascending i of x[i] * x[i+lag+j].
+template <size_t kLanes>
+void AutocorrLagBlock(std::span<const double> x, size_t lag, double* out) {
+  const size_t n = x.size();
+  double sum[kLanes] = {};
+  // Shared range: every lag of the block has x[i + lag + j] in bounds.
+  const size_t shared = n - (lag + kLanes - 1);
+  for (size_t i = 0; i < shared; ++i) {
+    const double xi = x[i];
+    // Unrolled so the accumulators stay in registers.
+#pragma GCC unroll 8
+    for (size_t j = 0; j < kLanes; ++j) sum[j] += xi * x[i + lag + j];
+  }
+  // Tails: lane j runs on while i + lag + j < n. Outer i keeps each lane's
+  // order ascending, and the lanes' chains overlap.
+  for (size_t i = shared; i + lag < n; ++i) {
+    for (size_t j = 0; j < kLanes && i + lag + j < n; ++j) {
+      sum[j] += x[i] * x[i + lag + j];
+    }
+  }
+  for (size_t j = 0; j < kLanes; ++j) out[j] = sum[j];
+}
+
+inline bool UsePitchAccel() {
+  return util::ActiveDispatchLevel() >= util::DispatchLevel::kAvx2 &&
+         internal::PitchAccelAvailable();
+}
+
 }  // namespace
+
+namespace internal {
+
+void PitchAutocorrScalar(std::span<const double> x, size_t min_lag,
+                         size_t max_lag, double* acc) {
+  size_t lag = min_lag;
+  for (; lag + 7 <= max_lag; lag += 8) {
+    AutocorrLagBlock<8>(x, lag, acc + (lag - min_lag));
+  }
+  // Fewer than 8 lags left: one narrower pass each for the 4s, 2s and 1s.
+  if (lag + 3 <= max_lag) {
+    AutocorrLagBlock<4>(x, lag, acc + (lag - min_lag));
+    lag += 4;
+  }
+  if (lag + 1 <= max_lag) {
+    AutocorrLagBlock<2>(x, lag, acc + (lag - min_lag));
+    lag += 2;
+  }
+  if (lag <= max_lag) AutocorrLagBlock<1>(x, lag, acc + (lag - min_lag));
+}
+
+double FramePitch(std::span<const double> frame, int sample_rate) {
+  const int min_lag = sample_rate / 500;
+  const int max_lag = sample_rate / 60;
+  if (static_cast<int>(frame.size()) <= max_lag || min_lag < 1) return 0.0;
+  double energy = 0.0;
+  for (double s : frame) energy += s * s;
+  if (energy < 1e-9) return 0.0;
+
+  const size_t lo = static_cast<size_t>(min_lag);
+  const size_t hi = static_cast<size_t>(max_lag);
+  std::vector<double> acc(hi - lo + 1);
+  if (UsePitchAccel()) {
+    PitchAutocorrAccel(frame, lo, hi, acc.data());
+  } else {
+    PitchAutocorrScalar(frame, lo, hi, acc.data());
+  }
+  double best = 0.0;
+  int best_lag = 0;
+  for (int lag = min_lag; lag <= max_lag; ++lag) {
+    const double a = acc[static_cast<size_t>(lag - min_lag)];
+    if (a > best) {
+      best = a;
+      best_lag = lag;
+    }
+  }
+  // Voicing gate: the autocorrelation peak must carry a meaningful share of
+  // the energy.
+  if (best_lag == 0 || best < 0.25 * energy) return 0.0;
+  return static_cast<double>(sample_rate) / best_lag;
+}
+
+}  // namespace internal
 
 ClipFeatures ComputeClipFeatures(const AudioBuffer& clip,
                                  const ClipFeatureOptions& options) {
@@ -116,13 +171,16 @@ ClipFeatures ComputeClipFeatures(const AudioBuffer& clip,
   size_t spectral_frames = 0;
 
   const std::vector<float>& s = clip.samples();
+  // Widened once for the pitch and spectral passes (exact, see FramePitch).
+  const std::vector<double> wide(s.begin(), s.end());
   for (size_t start = 0; start + frame_len <= s.size(); start += hop) {
     std::span<const float> frame(s.data() + start, frame_len);
+    std::span<const double> wide_frame(wide.data() + start, frame_len);
     volumes.push_back(FrameRms(frame));
     zcrs.push_back(FrameZcr(frame));
-    const double pitch = FramePitch(frame, sr);
+    const double pitch = internal::FramePitch(wide_frame, sr);
     if (pitch > 0.0) pitches.push_back(pitch);
-    const SpectralStats st = FrameSpectral(frame, sr);
+    const SpectralStats st = FrameSpectral(wide_frame, sr);
     centroids.push_back(st.centroid);
     bandwidths.push_back(st.bandwidth);
     for (size_t b = 0; b < 4; ++b) subband_acc[b] += st.subband[b];

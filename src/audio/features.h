@@ -2,6 +2,8 @@
 #define CLASSMINER_AUDIO_FEATURES_H_
 
 #include <array>
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "audio/audio_buffer.h"
@@ -34,6 +36,33 @@ ClipFeatures ComputeClipFeatures(const AudioBuffer& clip,
 // remainder shorter than half a clip is dropped.
 std::vector<AudioBuffer> SplitIntoClips(const AudioBuffer& audio,
                                         double clip_seconds = 2.0);
+
+namespace internal {
+
+// Autocorrelation pitch of one analysis frame (feature 6/7 input), in
+// [60, 500] Hz; 0 when unvoiced, silent, or the frame is no longer than the
+// longest lag. The frame is the clip's float samples widened to double:
+// float x float products are exact in double, so this equals the sum over
+// float samples bit for bit. Dispatches the lag kernel below.
+double FramePitch(std::span<const double> frame, int sample_rate);
+
+// Lane-per-lag autocorrelation contract shared by every kernel path:
+//   acc[lag - min_lag] = sum_{i ascending, i + lag < x.size()} x[i]*x[i+lag]
+// for lag in [min_lag, max_lag], each lag in its own accumulator starting
+// at +0.0. Lags are evaluated several per pass over x (the shared range
+// where every lag of the block is in bounds, then each lag's own tail), so
+// the vector kernel is this contract with one SIMD lane per lag and its
+// sums are bit-identical to the scalar reference. Requires
+// 1 <= min_lag <= max_lag < x.size().
+void PitchAutocorrScalar(std::span<const double> x, size_t min_lag,
+                         size_t max_lag, double* acc);
+
+// AVX2 kernel (x86-64 only). Callable only when PitchAccelAvailable().
+bool PitchAccelAvailable();
+void PitchAutocorrAccel(std::span<const double> x, size_t min_lag,
+                        size_t max_lag, double* acc);
+
+}  // namespace internal
 
 }  // namespace classminer::audio
 

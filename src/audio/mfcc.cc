@@ -14,10 +14,20 @@ double MelToHz(double mel) {
   return 700.0 * (std::pow(10.0, mel / 2595.0) - 1.0);
 }
 
+// One triangular mel filter, stored sparse: the weights of bins
+// [first_bin, first_bin + weights.size()), which span every nonzero weight
+// of the dense row. A bin outside the span would add exactly +0.0 to the
+// filter's non-negative energy sum, so skipping it leaves the sum's bits
+// unchanged. A filter with no nonzero weight has an empty span.
+struct MelFilter {
+  size_t first_bin = 0;
+  std::vector<double> weights;
+};
+
 // Triangular mel filterbank over FFT bins [0, n_bins).
-std::vector<std::vector<double>> BuildFilterbank(int n_filters, int n_bins,
-                                                 double bin_hz, double low_hz,
-                                                 double high_hz) {
+std::vector<MelFilter> BuildFilterbank(int n_filters, int n_bins,
+                                       double bin_hz, double low_hz,
+                                       double high_hz) {
   const double low_mel = HzToMel(low_hz);
   const double high_mel = HzToMel(high_hz);
   std::vector<double> centers(static_cast<size_t>(n_filters) + 2);
@@ -26,13 +36,13 @@ std::vector<std::vector<double>> BuildFilterbank(int n_filters, int n_bins,
         low_mel + (high_mel - low_mel) * i / (n_filters + 1.0);
     centers[static_cast<size_t>(i)] = MelToHz(mel);
   }
-  std::vector<std::vector<double>> bank(
-      static_cast<size_t>(n_filters),
-      std::vector<double>(static_cast<size_t>(n_bins), 0.0));
+  std::vector<MelFilter> bank(static_cast<size_t>(n_filters));
+  std::vector<double> row(static_cast<size_t>(n_bins));
   for (int m = 0; m < n_filters; ++m) {
     const double lo = centers[static_cast<size_t>(m)];
     const double mid = centers[static_cast<size_t>(m) + 1];
     const double hi = centers[static_cast<size_t>(m) + 2];
+    size_t first = row.size(), last = 0;
     for (int b = 0; b < n_bins; ++b) {
       const double hz = b * bin_hz;
       double w = 0.0;
@@ -41,7 +51,17 @@ std::vector<std::vector<double>> BuildFilterbank(int n_filters, int n_bins,
       } else if (hz > mid && hz <= hi && hi > mid) {
         w = (hi - hz) / (hi - mid);
       }
-      bank[static_cast<size_t>(m)][static_cast<size_t>(b)] = w;
+      row[static_cast<size_t>(b)] = w;
+      if (w != 0.0) {
+        first = std::min(first, static_cast<size_t>(b));
+        last = static_cast<size_t>(b);
+      }
+    }
+    if (first < row.size()) {
+      MelFilter& filter = bank[static_cast<size_t>(m)];
+      filter.first_bin = first;
+      filter.weights.assign(row.begin() + static_cast<ptrdiff_t>(first),
+                            row.begin() + static_cast<ptrdiff_t>(last) + 1);
     }
   }
   return bank;
@@ -64,8 +84,9 @@ util::Matrix ComputeMfcc(const AudioBuffer& clip, const MfccOptions& options) {
   const double high_hz = options.high_hz > 0.0
                              ? std::min(options.high_hz, sr / 2.0)
                              : sr / 2.0;
-  const std::vector<std::vector<double>> bank = BuildFilterbank(
+  const std::vector<MelFilter> bank = BuildFilterbank(
       options.mel_filters, n_bins, bin_hz, options.low_hz, high_hz);
+  const size_t n_filters = bank.size();
 
   // Hamming window.
   std::vector<double> hamming(win);
@@ -74,11 +95,21 @@ util::Matrix ComputeMfcc(const AudioBuffer& clip, const MfccOptions& options) {
                                         (static_cast<double>(win) - 1.0));
   }
 
+  // DCT-II basis, row k = cepstral coefficient k.
+  std::vector<double> dct(static_cast<size_t>(kMfccDims) * n_filters);
+  for (int k = 0; k < kMfccDims; ++k) {
+    for (int m = 0; m < options.mel_filters; ++m) {
+      dct[static_cast<size_t>(k) * n_filters + static_cast<size_t>(m)] =
+          std::cos(std::numbers::pi * k * (m + 0.5) / options.mel_filters);
+    }
+  }
+
   const size_t n_windows = (s.size() - win) / hop + 1;
   util::Matrix mfcc(n_windows, kMfccDims);
 
   std::vector<std::complex<double>> buf(fft_size);
-  std::vector<double> mel_log(static_cast<size_t>(options.mel_filters));
+  std::vector<double> mag(static_cast<size_t>(n_bins));
+  std::vector<double> mel_log(n_filters);
   for (size_t w = 0; w < n_windows; ++w) {
     const size_t start = w * hop;
     // Pre-emphasis + window.
@@ -92,25 +123,24 @@ util::Matrix ComputeMfcc(const AudioBuffer& clip, const MfccOptions& options) {
       }
     }
     util::Fft(&buf);
+    for (size_t b = 0; b < mag.size(); ++b) mag[b] = std::abs(buf[b]);
 
-    for (int m = 0; m < options.mel_filters; ++m) {
+    for (size_t m = 0; m < n_filters; ++m) {
+      const MelFilter& filter = bank[m];
+      const double* bin_mag = mag.data() + filter.first_bin;
       double acc = 0.0;
-      for (int b = 0; b < n_bins; ++b) {
-        const double mag = std::abs(buf[static_cast<size_t>(b)]);
-        acc += bank[static_cast<size_t>(m)][static_cast<size_t>(b)] * mag * mag;
+      for (size_t j = 0; j < filter.weights.size(); ++j) {
+        acc += filter.weights[j] * bin_mag[j] * bin_mag[j];
       }
-      mel_log[static_cast<size_t>(m)] = std::log(std::max(acc, 1e-12));
+      mel_log[m] = std::log(std::max(acc, 1e-12));
     }
 
     // DCT-II of the log mel energies -> cepstral coefficients 0..13.
-    for (int k = 0; k < kMfccDims; ++k) {
+    for (size_t k = 0; k < static_cast<size_t>(kMfccDims); ++k) {
+      const double* basis = dct.data() + k * n_filters;
       double acc = 0.0;
-      for (int m = 0; m < options.mel_filters; ++m) {
-        acc += mel_log[static_cast<size_t>(m)] *
-               std::cos(std::numbers::pi * k * (m + 0.5) /
-                        options.mel_filters);
-      }
-      mfcc.at(w, static_cast<size_t>(k)) = acc;
+      for (size_t m = 0; m < n_filters; ++m) acc += mel_log[m] * basis[m];
+      mfcc.at(w, k) = acc;
     }
   }
   return mfcc;

@@ -9,7 +9,6 @@
 #endif
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <unordered_set>
 #include <utility>
@@ -17,22 +16,10 @@
 #include "index/access_control.h"
 #include "server/wire.h"
 #include "util/failpoint.h"
+#include "util/parse.h"
 
 namespace classminer::server {
 namespace {
-
-// Parses a base-10 integer argument; kInvalidArgument on junk.
-util::StatusOr<int> ParseIntArg(const std::string& text,
-                                const std::string& what) {
-  char* end = nullptr;
-  errno = 0;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0' || value < -1000000 ||
-      value > 1000000) {
-    return util::Status::InvalidArgument("bad " + what + " '" + text + "'");
-  }
-  return static_cast<int>(value);
-}
 
 // Steady-clock milliseconds for idle-timeout bookkeeping: monotonic, cheap
 // to stamp from the reactor and cheap to compare from the monitor thread.
@@ -81,7 +68,7 @@ bool CacheSignature(const Request& request, std::string* path,
       int level = 3;
       if (request.args.size() == 2) {
         util::StatusOr<int> parsed =
-            ParseIntArg(request.args[1], "skim level");
+            util::ParseIntArg(request.args[1], "skim level");
         if (!parsed.ok()) return false;
         level = *parsed;
       }
@@ -1446,7 +1433,7 @@ Response ClassMinerServer::ExecuteRequest(const index::UserCredential& user,
       int level = 3;
       if (request.args.size() == 2) {
         util::StatusOr<int> parsed =
-            ParseIntArg(request.args[1], "skim level");
+            util::ParseIntArg(request.args[1], "skim level");
         if (!parsed.ok()) return MakeResponse(parsed.status());
         level = *parsed;
       }

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "audio/audio_buffer.h"
 #include "audio/bic.h"
@@ -9,6 +14,9 @@
 #include "audio/mfcc.h"
 #include "audio/speaker_segmenter.h"
 #include "synth/audio_generator.h"
+#include "util/cpu.h"
+#include "util/crc32.h"
+#include "util/fft.h"
 #include "util/rng.h"
 
 namespace classminer::audio {
@@ -336,6 +344,215 @@ TEST(SpeechClassifierTest, TrainedGmmClassifierSeparatesSpeechFromNoise) {
     row.at(0, static_cast<size_t>(d)) = fn[static_cast<size_t>(d)];
   }
   EXPECT_EQ(clf->Classify(row), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Golden digests: CRC-32 of the raw output bytes of the audio stage's three
+// numeric entry points, recorded from the reference implementation (the
+// per-stage twiddle recurrence, dense filterbank and single-accumulator
+// pitch loop). Any table, plan or kernel rewrite must reproduce every bit,
+// at every dispatch level this host can execute. A change that means to
+// alter audio output updates these digests and says why.
+
+uint32_t CrcOf(const void* data, size_t size, uint32_t crc) {
+  return util::Crc32(static_cast<const uint8_t*>(data), size, crc);
+}
+
+uint32_t DigestOf(const ClipFeatures& f) {
+  return CrcOf(f.data(), sizeof(double) * f.size(), 0);
+}
+
+uint32_t DigestOf(const util::Matrix& m) {
+  const uint64_t shape[2] = {m.rows(), m.cols()};
+  const uint32_t crc = CrcOf(shape, sizeof(shape), 0);
+  return CrcOf(m.data().data(), sizeof(double) * m.data().size(), crc);
+}
+
+struct GoldenCase {
+  std::string name;
+  AudioBuffer clip;
+  ClipFeatureOptions features;
+  MfccOptions mfcc;
+};
+
+// Seeded clips covering speakers 0-7 at every supported sample rate, odd
+// and edge lengths around one 30 ms window, an all-zero clip, a rate so
+// low that every mel filter is empty and the pitch lag range collapses,
+// and non-default options (frames shorter than the longest pitch lag,
+// a 40-filter bank below a custom high edge).
+std::vector<GoldenCase> GoldenCases() {
+  std::vector<GoldenCase> cases;
+  const int kRates[] = {8000, 11025, 16000, 22050, 44100};
+  for (int speaker = 0; speaker < 8; ++speaker) {
+    const int sr = kRates[speaker % 5];
+    AudioBuffer buf(sr);
+    util::Rng rng(0x601Dull + static_cast<uint64_t>(speaker));
+    synth::AppendSpeech(&buf, synth::MakeSpeakerVoice(speaker), 0.6, &rng);
+    synth::AppendSilence(&buf, 0.1, &rng);
+    synth::AppendProcedureNoise(&buf, 0.3, &rng);
+    if (buf.sample_count() % 2 == 0) buf.samples().pop_back();
+    cases.push_back({"speaker" + std::to_string(speaker) + "@" +
+                         std::to_string(sr),
+                     std::move(buf), {}, {}});
+  }
+  {
+    AudioBuffer buf(16000);
+    util::Rng rng(0x2C11);
+    synth::AppendSpeech(&buf, synth::MakeSpeakerVoice(3), 2.0, &rng);
+    cases.push_back({"speech2s@16000", std::move(buf), {}, {}});
+  }
+  // 16 kHz: a 30 ms window is 480 samples.
+  for (size_t n : {size_t{479}, size_t{480}, size_t{481}, size_t{1283}}) {
+    AudioBuffer buf(16000);
+    util::Rng rng(0xED6E + n);
+    synth::AppendSpeech(&buf, synth::MakeSpeakerVoice(static_cast<int>(n % 8)),
+                        0.1, &rng);
+    buf.samples().resize(n);
+    cases.push_back({"len" + std::to_string(n) + "@16000", std::move(buf),
+                     {}, {}});
+  }
+  {
+    AudioBuffer buf(8000);
+    util::Rng rng(0x8000);
+    synth::AppendProcedureNoise(&buf, 0.03, &rng);  // exactly one window
+    cases.push_back({"noise240@8000", std::move(buf), {}, {}});
+  }
+  cases.push_back({"zeros@16000", AudioBuffer(16000, std::vector<float>(16000)),
+                   {}, {}});
+  {
+    AudioBuffer buf(100);
+    util::Rng rng(0x100);
+    synth::AppendProcedureNoise(&buf, 0.97, &rng);
+    cases.push_back({"noise97@100", std::move(buf), {}, {}});
+  }
+  {
+    AudioBuffer buf(16000);
+    util::Rng rng(0x0B75);
+    synth::AppendSpeech(&buf, synth::MakeSpeakerVoice(5), 0.5, &rng);
+    GoldenCase c{"custom-options@16000", std::move(buf), {}, {}};
+    c.features.frame_seconds = 0.012;  // 192 samples <= max pitch lag 266
+    c.features.hop_seconds = 0.005;
+    c.mfcc.mel_filters = 40;
+    c.mfcc.low_hz = 100.0;
+    c.mfcc.high_hz = 4000.0;
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+struct GoldenDigest {
+  const char* name;
+  uint32_t clip_features;
+  uint32_t mfcc;
+};
+
+constexpr GoldenDigest kGoldenAudio[] = {
+    {"speaker0@8000", 0x2455d370, 0x399b551b},
+    {"speaker1@11025", 0x1a7ff485, 0x2ebe0b44},
+    {"speaker2@16000", 0x738959f3, 0x22ba978e},
+    {"speaker3@22050", 0x17d3af42, 0xfd3ee8cb},
+    {"speaker4@44100", 0xf7311375, 0xf3ff8500},
+    {"speaker5@8000", 0x98659057, 0x52b337ea},
+    {"speaker6@11025", 0x52186e78, 0xeafecd7b},
+    {"speaker7@16000", 0xdd6d1c4a, 0x133b2f17},
+    {"speech2s@16000", 0xc111204b, 0x8248fae7},
+    {"len479@16000", 0x1bbeadbd, 0xf9315967},
+    {"len480@16000", 0x03139d03, 0x7687567c},
+    {"len481@16000", 0xc427dfbd, 0xaf2e53fe},
+    {"len1283@16000", 0x77fc1522, 0x0e782f70},
+    {"noise240@8000", 0x470c0a8e, 0xd7a29840},
+    {"zeros@16000", 0x9dde2978, 0x947f6c35},
+    {"noise97@100", 0xeab9153a, 0xd9287a64},
+    {"custom-options@16000", 0x8645362a, 0xc940cd76},
+};
+
+// FFT digests per log2(size): forward and inverse transforms of one seeded
+// complex input. Every size up to 8192, plus the largest size whose plan is
+// cached per thread (2^16) and one built per call (2^17).
+struct GoldenFft {
+  int log2n;
+  uint32_t forward;
+  uint32_t inverse;
+};
+
+constexpr GoldenFft kGoldenFft[] = {
+    {0, 0xfd69893a, 0xfd69893a},
+    {1, 0x686bce51, 0x663d92d8},
+    {2, 0x2c999bac, 0x4ec27b75},
+    {3, 0x68531848, 0xfe679aff},
+    {4, 0x636be2ba, 0x981ec868},
+    {5, 0x9540fc7d, 0xdb1e56bb},
+    {6, 0x826fb2ef, 0xb89ccbff},
+    {7, 0x0eb66cd3, 0xd6fe9f87},
+    {8, 0x8511735a, 0x389bcca2},
+    {9, 0x5216c9e6, 0xdc464604},
+    {10, 0xd25951dd, 0xacfc12a4},
+    {11, 0x349f1a12, 0xb62c7727},
+    {12, 0x20feea19, 0x91072605},
+    {13, 0x8012005c, 0xc185108a},
+    {16, 0x5e0b9fac, 0x7ee73c0f},
+    {17, 0x92754843, 0x46d96347},
+};
+
+class ScopedDispatchLevel {
+ public:
+  explicit ScopedDispatchLevel(util::DispatchLevel level) {
+    util::SetDispatchLevelForTest(level);
+  }
+  ~ScopedDispatchLevel() { util::ClearDispatchLevelForTest(); }
+};
+
+TEST(AudioGoldenTest, ClipFeaturesAndMfccMatchRecordedDigests) {
+  const std::vector<GoldenCase> cases = GoldenCases();
+  ASSERT_EQ(cases.size(), std::size(kGoldenAudio));
+  for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+    ScopedDispatchLevel pin(level);
+    for (size_t i = 0; i < cases.size(); ++i) {
+      const GoldenCase& c = cases[i];
+      const uint32_t features =
+          DigestOf(ComputeClipFeatures(c.clip, c.features));
+      const uint32_t mfcc = DigestOf(ComputeMfcc(c.clip, c.mfcc));
+      char got[96];
+      std::snprintf(got, sizeof(got), "{\"%s\", 0x%08x, 0x%08x},",
+                    c.name.c_str(), features, mfcc);
+      EXPECT_EQ(c.name, kGoldenAudio[i].name);
+      EXPECT_EQ(features, kGoldenAudio[i].clip_features)
+          << "clip features " << c.name << " at "
+          << util::DispatchLevelName(level) << "; got " << got;
+      EXPECT_EQ(mfcc, kGoldenAudio[i].mfcc)
+          << "mfcc " << c.name << " at " << util::DispatchLevelName(level)
+          << "; got " << got;
+    }
+  }
+}
+
+TEST(AudioGoldenTest, FftMatchesRecordedDigests) {
+  ASSERT_EQ(std::size(kGoldenFft), 16u);
+  for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+    ScopedDispatchLevel pin(level);
+    for (const GoldenFft& golden : kGoldenFft) {
+      const size_t n = size_t{1} << golden.log2n;
+      util::Rng rng(0xFF7 + static_cast<uint64_t>(golden.log2n));
+      std::vector<std::complex<double>> input(n);
+      for (auto& x : input) {
+        x = {rng.Uniform(-1.0, 1.0), rng.Uniform(-1.0, 1.0)};
+      }
+      std::vector<std::complex<double>> fwd = input, inv = input;
+      util::Fft(&fwd);
+      util::Fft(&inv, /*inverse=*/true);
+      const uint32_t f = CrcOf(fwd.data(), sizeof(fwd[0]) * n, 0);
+      const uint32_t v = CrcOf(inv.data(), sizeof(inv[0]) * n, 0);
+      char got[64];
+      std::snprintf(got, sizeof(got), "{%d, 0x%08x, 0x%08x},", golden.log2n,
+                    f, v);
+      EXPECT_EQ(f, golden.forward)
+          << "forward n " << n << " at " << util::DispatchLevelName(level)
+          << "; got " << got;
+      EXPECT_EQ(v, golden.inverse)
+          << "inverse n " << n << " at " << util::DispatchLevelName(level)
+          << "; got " << got;
+    }
+  }
 }
 
 }  // namespace

@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <cstring>
 #include <span>
 #include <vector>
 
+#include "audio/features.h"
 #include "codec/dct.h"
 #include "codec/decoder.h"
 #include "codec/encoder.h"
@@ -19,6 +22,7 @@
 #include "core/cmv_pipeline.h"
 #include "features/histogram.h"
 #include "media/image.h"
+#include "synth/audio_generator.h"
 #include "synth/corpus.h"
 #include "synth/video_generator.h"
 #include "util/cpu.h"
@@ -431,6 +435,180 @@ TEST(SadKernelTest, PublicEntryPointAgreesAcrossLevelsIncludingEdges) {
           << " level " << util::DispatchLevelName(level);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Autocorrelation pitch: lane-per-lag kernels against the single-accumulator
+// loop FramePitch ran before them.
+
+// One lag's sum as the original loop computed it.
+double ReferenceLagSum(const std::vector<double>& x, size_t lag) {
+  double acc = 0.0;
+  for (size_t i = 0; i + lag < x.size(); ++i) acc += x[i] * x[i + lag];
+  return acc;
+}
+
+// The original FramePitch: serial lags, one accumulator each.
+double ReferenceFramePitch(const std::vector<double>& frame,
+                           int sample_rate) {
+  const int min_lag = sample_rate / 500;
+  const int max_lag = sample_rate / 60;
+  if (static_cast<int>(frame.size()) <= max_lag || min_lag < 1) return 0.0;
+  double energy = 0.0;
+  for (double s : frame) energy += s * s;
+  if (energy < 1e-9) return 0.0;
+  double best = 0.0;
+  int best_lag = 0;
+  for (int lag = min_lag; lag <= max_lag; ++lag) {
+    const double acc = ReferenceLagSum(frame, static_cast<size_t>(lag));
+    if (acc > best) {
+      best = acc;
+      best_lag = lag;
+    }
+  }
+  if (best_lag == 0 || best < 0.25 * energy) return 0.0;
+  return static_cast<double>(sample_rate) / best_lag;
+}
+
+// Float-valued samples widened to double, as ComputeClipFeatures feeds them.
+std::vector<double> RandomFrame(size_t n, double amplitude, util::Rng* rng) {
+  std::vector<double> x(n);
+  for (double& v : x) {
+    v = static_cast<float>(amplitude * rng->Uniform(-1.0, 1.0));
+  }
+  return x;
+}
+
+std::vector<double> VoicedFrame(size_t n, int sample_rate, int speaker) {
+  audio::AudioBuffer buf(sample_rate);
+  util::Rng rng(0x917C + static_cast<uint64_t>(speaker));
+  synth::AppendSpeech(&buf, synth::MakeSpeakerVoice(speaker),
+                      0.25 + static_cast<double>(n) / sample_rate, &rng);
+  // Skip the envelope's attack so the frame is voiced.
+  const size_t start = static_cast<size_t>(0.2 * sample_rate);
+  return std::vector<double>(buf.samples().begin() + start,
+                             buf.samples().begin() + start + n);
+}
+
+// Lag ranges of every width 1..40 (every tail length of the 4-, 8- and
+// 16-lag passes), starting at lag 1 and deep into the frame.
+std::vector<std::pair<size_t, size_t>> LagRanges(size_t n) {
+  std::vector<std::pair<size_t, size_t>> ranges;
+  for (size_t width = 1; width <= 40; ++width) {
+    for (size_t min_lag : {size_t{1}, size_t{7}, n / 2}) {
+      const size_t max_lag = min_lag + width - 1;
+      if (max_lag < n) ranges.emplace_back(min_lag, max_lag);
+    }
+  }
+  return ranges;
+}
+
+std::vector<std::vector<double>> PitchFrames() {
+  util::Rng rng(0x717C);
+  std::vector<std::vector<double>> frames;
+  for (size_t n : {size_t{2}, size_t{17}, size_t{41}, size_t{160},
+                   size_t{241}, size_t{480}}) {
+    frames.push_back(RandomFrame(n, 1.0, &rng));
+  }
+  frames.push_back(VoicedFrame(480, 16000, 2));
+  frames.push_back(VoicedFrame(331, 11025, 6));
+  return frames;
+}
+
+TEST(PitchKernelTest, ScalarMatchesSingleAccumulatorLoop) {
+  for (const std::vector<double>& x : PitchFrames()) {
+    for (const auto& [min_lag, max_lag] : LagRanges(x.size())) {
+      std::vector<double> acc(max_lag - min_lag + 1);
+      audio::internal::PitchAutocorrScalar(x, min_lag, max_lag, acc.data());
+      for (size_t lag = min_lag; lag <= max_lag; ++lag) {
+        ASSERT_EQ(Bits(acc[lag - min_lag]), Bits(ReferenceLagSum(x, lag)))
+            << "n " << x.size() << " lags [" << min_lag << ", " << max_lag
+            << "] lag " << lag;
+      }
+    }
+  }
+}
+
+TEST(PitchKernelTest, AccelMatchesScalarOnEveryLagBlockTail) {
+  if (!audio::internal::PitchAccelAvailable()) {
+    GTEST_SKIP() << "no pitch accel kernel on this architecture";
+  }
+  for (const std::vector<double>& x : PitchFrames()) {
+    for (const auto& [min_lag, max_lag] : LagRanges(x.size())) {
+      std::vector<double> want(max_lag - min_lag + 1);
+      std::vector<double> got(want.size());
+      audio::internal::PitchAutocorrScalar(x, min_lag, max_lag, want.data());
+      audio::internal::PitchAutocorrAccel(x, min_lag, max_lag, got.data());
+      for (size_t j = 0; j < want.size(); ++j) {
+        ASSERT_EQ(Bits(got[j]), Bits(want[j]))
+            << "n " << x.size() << " lags [" << min_lag << ", " << max_lag
+            << "] lag " << min_lag + j;
+      }
+    }
+  }
+}
+
+// A dead tail lane multiplies a live x[i] by a masked-out (zero) sample; if
+// x[i] is infinite that product is NaN and must not reach the lane's sum.
+TEST(PitchKernelTest, NonFiniteSamplesDoNotLeakIntoDeadLanes) {
+  if (!audio::internal::PitchAccelAvailable()) {
+    GTEST_SKIP() << "no pitch accel kernel on this architecture";
+  }
+  util::Rng rng(0x1F);
+  const auto same = [](double a, double b) {
+    return (std::isnan(a) && std::isnan(b)) || Bits(a) == Bits(b);
+  };
+  for (size_t min_lag : {size_t{1}, size_t{5}, size_t{30}}) {
+    const size_t max_lag = min_lag + 15;
+    std::vector<double> x = RandomFrame(100, 1.0, &rng);
+    // First tail step of the 16-lag pass: the top lag is already dead.
+    x[100 - (min_lag + 15)] = std::numeric_limits<double>::infinity();
+    std::vector<double> want(16), got(16);
+    audio::internal::PitchAutocorrScalar(x, min_lag, max_lag, want.data());
+    audio::internal::PitchAutocorrAccel(x, min_lag, max_lag, got.data());
+    EXPECT_TRUE(std::isinf(want[15])) << "min_lag " << min_lag;
+    for (size_t j = 0; j < 16; ++j) {
+      EXPECT_TRUE(same(got[j], want[j]))
+          << "min_lag " << min_lag << " lane " << j << ": " << got[j]
+          << " vs " << want[j];
+    }
+  }
+}
+
+TEST(PitchKernelTest, FramePitchIsBitIdenticalAcrossLevels) {
+  util::Rng rng(0xF0);
+  struct Case {
+    int sample_rate;
+    std::vector<double> frame;
+  };
+  std::vector<Case> cases;
+  for (int sr : {8000, 11025, 16000, 22050, 44100}) {
+    const size_t win = static_cast<size_t>(0.03 * sr);
+    const size_t max_lag = static_cast<size_t>(sr / 60);
+    cases.push_back({sr, VoicedFrame(win, sr, sr % 8)});
+    cases.push_back({sr, VoicedFrame(win + 1, sr, (sr + 3) % 8)});
+    cases.push_back({sr, RandomFrame(win, 0.5, &rng)});
+    cases.push_back({sr, VoicedFrame(max_lag, sr, 1)});      // too short
+    cases.push_back({sr, VoicedFrame(max_lag + 1, sr, 1)});  // one step
+    cases.push_back({sr, RandomFrame(win, 1e-6, &rng)});     // silent
+  }
+  // min_lag < 1: rates below 500 Hz never yield a pitch.
+  cases.push_back({400, RandomFrame(50, 0.5, &rng)});
+  cases.push_back({499, RandomFrame(50, 0.5, &rng)});
+
+  int voiced = 0;
+  for (const Case& c : cases) {
+    const double want = ReferenceFramePitch(c.frame, c.sample_rate);
+    if (want > 0.0) ++voiced;
+    for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+      ScopedDispatchLevel pin(level);
+      ASSERT_EQ(Bits(audio::internal::FramePitch(c.frame, c.sample_rate)),
+                Bits(want))
+          << "rate " << c.sample_rate << " n " << c.frame.size()
+          << " level " << util::DispatchLevelName(level);
+    }
+  }
+  EXPECT_GE(voiced, 5);  // the voiced frames really exercise the argmax
 }
 
 // ---------------------------------------------------------------------------

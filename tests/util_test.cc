@@ -6,6 +6,7 @@
 #include "util/fft.h"
 #include "util/mathutil.h"
 #include "util/matrix.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/serial.h"
 #include "util/status.h"
@@ -188,6 +189,52 @@ TEST(FftTest, NextPowerOfTwo) {
   EXPECT_EQ(NextPowerOfTwo(2), 2u);
   EXPECT_EQ(NextPowerOfTwo(3), 4u);
   EXPECT_EQ(NextPowerOfTwo(1000), 1024u);
+}
+
+TEST(ParseArgTest, IntAcceptsWholeNumbersInRange) {
+  EXPECT_EQ(*ParseIntArg("0", "n"), 0);
+  EXPECT_EQ(*ParseIntArg("42", "n"), 42);
+  EXPECT_EQ(*ParseIntArg("-7", "n"), -7);
+  EXPECT_EQ(*ParseIntArg("1000000", "n"), 1000000);
+  EXPECT_EQ(*ParseIntArg("-1000000", "n"), -1000000);
+  EXPECT_EQ(*ParseIntArg("65535", "--port", 0, 65535), 65535);
+}
+
+TEST(ParseArgTest, IntRejectsJunkAndOutOfRange) {
+  for (const char* junk : {"", "abc", "12abc", "4.5", "0x10", "-", "1 ",
+                           " 1", "1000001", "-1000001",
+                           "99999999999999999999"}) {
+    const StatusOr<int> parsed = ParseIntArg(junk, "--threads");
+    ASSERT_FALSE(parsed.ok()) << "'" << junk << "'";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_FALSE(ParseIntArg(std::string("5\0x", 3), "level").ok());
+  EXPECT_FALSE(ParseUint64Arg(std::string("5\0x", 3), "--seed").ok());
+  EXPECT_FALSE(ParseIntArg("65536", "--port", 0, 65535).ok());
+  EXPECT_FALSE(ParseIntArg("-1", "--port", 0, 65535).ok());
+  EXPECT_FALSE(ParseIntArg("0", "every:N", 1, 10).ok());
+}
+
+TEST(ParseArgTest, ErrorNamesTheArgumentAndText) {
+  const StatusOr<int> parsed = ParseIntArg("abc", "--threads");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().message(), "bad --threads 'abc'");
+}
+
+TEST(ParseArgTest, Uint64CoversTheFullRange) {
+  EXPECT_EQ(*ParseUint64Arg("0", "--seed"), 0u);
+  EXPECT_EQ(*ParseUint64Arg("17", "--seed"), 17u);
+  EXPECT_EQ(*ParseUint64Arg("18446744073709551615", "--seed"),
+            18446744073709551615ull);
+}
+
+TEST(ParseArgTest, Uint64RejectsSignsJunkAndOverflow) {
+  for (const char* junk : {"", "abc", "-1", "+1", " 1", "1x", "1.0",
+                           "18446744073709551616"}) {
+    const StatusOr<uint64_t> parsed = ParseUint64Arg(junk, "--seed");
+    ASSERT_FALSE(parsed.ok()) << "'" << junk << "'";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(RngTest, DeterministicForSeed) {
