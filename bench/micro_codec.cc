@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "codec/decoder.h"
@@ -14,7 +15,9 @@
 #include "codec/motion.h"
 #include "codec/quant.h"
 #include "media/draw.h"
+#include "util/exec_context.h"
 #include "util/rng.h"
+#include "util/threadpool.h"
 
 namespace classminer {
 namespace {
@@ -84,15 +87,28 @@ void BM_EncodeVideo(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeVideo)->Arg(12)->Unit(benchmark::kMillisecond);
 
+// Full decode of a 96-frame clip (8 GOPs of 12) on a pool of `threads`
+// workers (1 = serial). GOPs decode independently, so they fan out over the
+// pool; wall time is the figure of merit.
 void BM_DecodeVideo(benchmark::State& state) {
-  const media::Video video = BenchVideo(12, 96, 72);
+  const media::Video video = BenchVideo(96, 96, 72);
   const codec::CmvFile file = codec::EncodeVideo(video, codec::EncoderOptions());
+  const int threads = static_cast<int>(state.range(0));
+  const std::unique_ptr<util::ThreadPool> pool =
+      threads > 1 ? std::make_unique<util::ThreadPool>(threads) : nullptr;
+  const util::ExecutionContext ctx(pool.get());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(codec::DecodeVideo(file));
+    benchmark::DoNotOptimize(codec::DecodeVideo(file, ctx));
   }
-  state.SetItemsProcessed(state.iterations() * 12);
+  state.SetItemsProcessed(state.iterations() * file.frame_count());
 }
-BENCHMARK(BM_DecodeVideo)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DecodeVideo)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Rep-frame-style sparse access (one frame per 12-frame "shot") through the
 // selective FrameSource vs paying for a full DecodeVideo pass. arg 0/1

@@ -247,22 +247,24 @@ util::Status CmvFile::RebuildGopIndex() {
 }
 
 int CmvFile::GopOfFrame(int frame_index) const {
-  if (gop_index.empty() || frame_index < 0 ||
-      frame_index >= frame_count()) {
-    return -1;
-  }
+  return frame_index < frame_count() ? FindGop(gop_index, frame_index) : -1;
+}
+
+int CmvFile::FindGop(const std::vector<GopIndexEntry>& index,
+                     int frame_index) {
+  if (index.empty() || frame_index < 0) return -1;
   // Last GOP whose start_frame <= frame_index.
   int lo = 0;
-  int hi = gop_count() - 1;
+  int hi = static_cast<int>(index.size()) - 1;
   while (lo < hi) {
     const int mid = (lo + hi + 1) / 2;
-    if (gop_index[static_cast<size_t>(mid)].start_frame <= frame_index) {
+    if (index[static_cast<size_t>(mid)].start_frame <= frame_index) {
       lo = mid;
     } else {
       hi = mid - 1;
     }
   }
-  const GopIndexEntry& g = gop_index[static_cast<size_t>(lo)];
+  const GopIndexEntry& g = index[static_cast<size_t>(lo)];
   if (frame_index < g.start_frame ||
       frame_index >= g.start_frame + g.frame_count) {
     return -1;

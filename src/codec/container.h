@@ -89,6 +89,9 @@ struct CmvFile {
   // Index of the GOP containing `frame_index` (binary search), or -1 when
   // out of range / the index is empty.
   int GopOfFrame(int frame_index) const;
+  // The same search over any index sorted by start_frame.
+  static int FindGop(const std::vector<GopIndexEntry>& index,
+                     int frame_index);
 
   // Serializability guard: every collection Serialize() writes behind a u32
   // length prefix (frame count, per-frame payload size, audio samples, GOP

@@ -1,8 +1,10 @@
 #include "codec/decoder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <mutex>
 #include <optional>
 
 #include "codec/bitstream.h"
@@ -43,6 +45,24 @@ util::Status DecodeIntraPlane(BitReader* reader, int quality, bool chroma,
     }
   }
   return util::Status::Ok();
+}
+
+// Adds an inverse-DCT residual to the motion-compensated prediction of
+// 8x8 block (bx, by), clipped to `out`'s bounds.
+void AddResidual(const Plane& pred, const Block& residual, int bx, int by,
+                 Plane* out) {
+  for (int y = 0; y < kBlockSize; ++y) {
+    const int yy = by * kBlockSize + y;
+    if (yy >= out->height) break;
+    for (int x = 0; x < kBlockSize; ++x) {
+      const int xx = bx * kBlockSize + x;
+      if (xx >= out->width) break;
+      const double v =
+          pred.at(xx, yy) + residual[static_cast<size_t>(y) * kBlockSize + x];
+      out->set(xx, yy,
+               static_cast<int16_t>(std::lround(std::clamp(v, 0.0, 255.0))));
+    }
+  }
 }
 
 struct PFrameSink {
@@ -100,21 +120,7 @@ util::Status DecodePredictedFrame(BitReader* reader, int width, int height,
         if (!dc.ok()) return dc.status();
         const Block deq = Dequantize(q, quality, /*chroma=*/false);
         if (full) {
-          const Block residual = InverseDct(deq);
-          for (int y = 0; y < kBlockSize; ++y) {
-            const int yy = by * kBlockSize + y;
-            if (yy >= height) break;
-            for (int x = 0; x < kBlockSize; ++x) {
-              const int xx = bx * kBlockSize + x;
-              if (xx >= width) break;
-              const double v =
-                  pred_y.at(xx, yy) +
-                  residual[static_cast<size_t>(y) * kBlockSize + x];
-              sink->recon->y.set(
-                  xx, yy,
-                  static_cast<int16_t>(std::lround(std::clamp(v, 0.0, 255.0))));
-            }
-          }
+          AddResidual(pred_y, InverseDct(deq), bx, by, &sink->recon->y);
         } else if (sink->dc_image != nullptr) {
           // DC-resolution motion compensation: sample the previous DC image
           // at the vector-shifted position (rounded to DC grid).
@@ -140,23 +146,8 @@ util::Status DecodePredictedFrame(BitReader* reader, int width, int height,
           if (!dc.ok()) return dc.status();
           if (full) {
             const Block deq = Dequantize(q, quality, /*chroma=*/true);
-            const Block residual = InverseDct(deq);
-            Plane& out = (c == 0) ? sink->recon->cb : sink->recon->cr;
-            const Plane& pred = (c == 0) ? pred_cb : pred_cr;
-            for (int y = 0; y < kBlockSize; ++y) {
-              const int yy = my * kBlockSize + y;
-              if (yy >= out.height) break;
-              for (int x = 0; x < kBlockSize; ++x) {
-                const int xx = mx * kBlockSize + x;
-                if (xx >= out.width) break;
-                const double v =
-                    pred.at(xx, yy) +
-                    residual[static_cast<size_t>(y) * kBlockSize + x];
-                out.set(xx, yy,
-                        static_cast<int16_t>(
-                            std::lround(std::clamp(v, 0.0, 255.0))));
-              }
-            }
+            AddResidual(c == 0 ? pred_cb : pred_cr, InverseDct(deq), mx, my,
+                        c == 0 ? &sink->recon->cb : &sink->recon->cr);
           }
         }
       }
@@ -201,6 +192,58 @@ util::Status DecodeDcFrame(const CmvFile& file, size_t i,
                               &sink);
 }
 
+// The DC-sequence loop behind DecodeDcImages (`report` null: the first
+// failing frame fails the call) and DecodeDcImagesSalvage.
+util::StatusOr<std::vector<media::GrayImage>> DecodeDcSequence(
+    const CmvFile& file, util::SalvageReport* report,
+    const util::CancellationToken* cancel) {
+  if (file.width <= 0 || file.height <= 0) {
+    return util::Status::InvalidArgument("CMV file has empty dimensions");
+  }
+  const int dcw = BlocksAcross(file.width);
+  const int dch = BlocksAcross(file.height);
+
+  std::vector<media::GrayImage> out;
+  out.reserve(file.frames.size());
+  media::GrayImage prev(dcw, dch, 128);  // fallback when frame 0 fails
+  int decoded = 0;
+  // Once a frame in a GOP fails, every P-frame until the next I-frame
+  // predicts from garbage; hold the last good DC image until the stream
+  // resynchronises at an I-frame.
+  bool skipping = false;
+  for (size_t i = 0; i < file.frames.size(); ++i) {
+    if (cancel != nullptr && cancel->cancelled()) {
+      return util::Status::Cancelled("DC image extraction cancelled");
+    }
+    const bool intra = file.frames[i].type == FrameType::kIntra;
+    if (skipping && intra) skipping = false;
+    media::GrayImage dc(dcw, dch);
+    util::Status frame = skipping
+                             ? util::Status::DataLoss("GOP lost upstream")
+                             : DecodeDcFrame(file, i, prev, dcw, dch, &dc);
+    if (frame.ok()) {
+      ++decoded;
+      prev = dc;
+      out.push_back(std::move(dc));
+      continue;
+    }
+    if (report == nullptr) return frame;
+    if (!skipping) {
+      skipping = true;
+      report->gops_skipped += 1;
+      report->AddNote("decode: frame " + std::to_string(i) + ": " +
+                      frame.message());
+    }
+    report->items_dropped += 1;
+    out.push_back(prev);  // keep frame indices aligned with the container
+  }
+  if (decoded == 0 && !file.frames.empty()) {
+    return util::Status::DataLoss("no frame in the stream decodes");
+  }
+  if (report != nullptr) report->items_recovered += decoded;
+  return out;
+}
+
 }  // namespace
 
 namespace internal {
@@ -238,121 +281,102 @@ util::StatusOr<Picture> DecodePicture(const FrameRecord& rec, int width,
   return out;
 }
 
+util::Status DecodeGopFrames(const CmvFile& file, const GopIndexEntry& gop,
+                             const util::CancellationToken* cancel,
+                             util::Arena* arenas,
+                             std::vector<media::Image>* frames) {
+  // Double-buffered bump arenas: frame i decodes into arena i % 2 while the
+  // previous reconstruction (the P-frame reference) stays live in the other
+  // one. Resetting an arena only discards the frame from two steps back,
+  // which nothing references any more. The decoded pixels escape as
+  // heap-backed Images, never as arena memory.
+  std::optional<Picture> slots[2];
+  const Picture* recon = nullptr;
+  for (int i = 0; i < gop.frame_count; ++i) {
+    if (cancel != nullptr && cancel->cancelled()) {
+      return util::Status::Cancelled("GOP decode cancelled");
+    }
+    const FrameRecord& rec =
+        file.frames[static_cast<size_t>(gop.start_frame + i)];
+    util::Arena& frame_arena = arenas[i % 2];
+    slots[i % 2].reset();
+    frame_arena.Reset();
+    util::StatusOr<Picture> next =
+        DecodePicture(rec, file.width, file.height, file.quality,
+                      i == 0 ? nullptr : recon, &frame_arena);
+    CLASSMINER_RETURN_IF_ERROR(next.status());
+    recon = &slots[i % 2].emplace(std::move(*next));
+    frames->push_back(ToImage(*recon, file.width, file.height));
+  }
+  return util::Status::Ok();
+}
+
 }  // namespace internal
 
-util::StatusOr<media::Video> DecodeVideo(
-    const CmvFile& file, const util::CancellationToken* cancel) {
+util::StatusOr<media::Video> DecodeVideo(const CmvFile& file,
+                                         const util::ExecutionContext& ctx) {
   CLASSMINER_RETURN_IF_ERROR(util::FailPoint::Check("codec.decode_video"));
   if (file.width <= 0 || file.height <= 0) {
     return util::Status::InvalidArgument("CMV file has empty dimensions");
   }
+  if (ctx.cancelled()) return util::Status::Cancelled("video decode cancelled");
+  util::StatusOr<std::vector<GopIndexEntry>> gops =
+      CmvFile::DeriveGopIndex(file.frames);
+  if (!gops.ok()) return gops.status();
+
+  // Runners (the pool's workers plus this thread, capped at the host's
+  // cores) claim GOPs in order and decode each on their own arena pair into
+  // its own frame list, so pixels are allocated only as frames decode. No
+  // runner starts a GOP past a failed one: the first failing GOP in stream
+  // order decides, and a corrupt stream stops early. Exceptions are caught
+  // per GOP, since the pool ParallelFor would skip the rest of the range.
+  const int gop_count = static_cast<int>(gops->size());
+  const int runners = std::min({gop_count, ctx.thread_count() + 1,
+                                util::ThreadPool::DefaultThreads()});
+  std::vector<std::vector<media::Image>> gop_frames(gops->size());
+  std::atomic<int> next_gop{0};
+  std::atomic<int> failed_gop{gop_count};
+  std::mutex failure_mu;
+  util::Status failure;
+  util::ParallelFor(ctx.pool(), runners, [&](int) {
+    util::Arena arenas[2];
+    for (int g = next_gop++; g < failed_gop.load(); g = next_gop++) {
+      util::Status status;
+      try {
+        status = internal::DecodeGopFrames(
+            file, (*gops)[static_cast<size_t>(g)], ctx.cancellation(),
+            arenas, &gop_frames[static_cast<size_t>(g)]);
+      } catch (...) {
+        status = util::Status::Internal("GOP decode threw an exception");
+      }
+      if (status.ok()) continue;
+      std::lock_guard<std::mutex> lock(failure_mu);
+      if (g < failed_gop.load()) {
+        failed_gop.store(g);
+        failure = std::move(status);
+      }
+    }
+  });
+  if (failed_gop.load() < gop_count) return failure;
+
   media::Video video(file.name, file.fps);
   video.Reserve(file.frames.size());
-
-  // Double-buffered bump arenas: frame i decodes into arena i % 2 while the
-  // previous reconstruction (the P-frame reference) stays live in the other
-  // one. Resetting an arena only discards the frame from two steps back,
-  // which nothing references any more. The decoded pixels escape into the
-  // video as heap-backed Images, never as arena memory.
-  util::Arena arenas[2];
-  std::optional<Picture> slots[2];
-  const Picture* recon = nullptr;
-  for (size_t i = 0; i < file.frames.size(); ++i) {
-    if (cancel != nullptr && cancel->cancelled()) {
-      return util::Status::Cancelled("video decode cancelled");
-    }
-    const FrameRecord& rec = file.frames[i];
-    if (rec.type != FrameType::kIntra && i == 0) {
-      return util::Status::DataLoss("stream starts with P-frame");
-    }
-    util::Arena& frame_arena = arenas[i % 2];
-    slots[i % 2].reset();
-    frame_arena.Reset();
-    util::StatusOr<Picture> next = internal::DecodePicture(
-        rec, file.width, file.height, file.quality,
-        rec.type == FrameType::kIntra ? nullptr : recon, &frame_arena);
-    CLASSMINER_RETURN_IF_ERROR(next.status());
-    recon = &slots[i % 2].emplace(std::move(*next));
-    video.AppendFrame(ToImage(*recon, file.width, file.height));
+  for (std::vector<media::Image>& frames : gop_frames) {
+    for (media::Image& frame : frames) video.AppendFrame(std::move(frame));
   }
   return video;
 }
 
 util::StatusOr<std::vector<media::GrayImage>> DecodeDcImages(
     const CmvFile& file, const util::CancellationToken* cancel) {
-  if (file.width <= 0 || file.height <= 0) {
-    return util::Status::InvalidArgument("CMV file has empty dimensions");
-  }
-  const int dcw = BlocksAcross(file.width);
-  const int dch = BlocksAcross(file.height);
-
-  std::vector<media::GrayImage> out;
-  out.reserve(file.frames.size());
-  media::GrayImage prev;
-  for (size_t i = 0; i < file.frames.size(); ++i) {
-    if (cancel != nullptr && cancel->cancelled()) {
-      return util::Status::Cancelled("DC image extraction cancelled");
-    }
-    media::GrayImage dc(dcw, dch);
-    CLASSMINER_RETURN_IF_ERROR(DecodeDcFrame(file, i, prev, dcw, dch, &dc));
-    prev = dc;
-    out.push_back(std::move(dc));
-  }
-  return out;
+  return DecodeDcSequence(file, nullptr, cancel);
 }
 
 util::StatusOr<std::vector<media::GrayImage>> DecodeDcImagesSalvage(
     const CmvFile& file, util::SalvageReport* report,
     const util::CancellationToken* cancel) {
   util::SalvageReport local;
-  if (report == nullptr) report = &local;
-  if (file.width <= 0 || file.height <= 0) {
-    return util::Status::InvalidArgument("CMV file has empty dimensions");
-  }
-  const int dcw = BlocksAcross(file.width);
-  const int dch = BlocksAcross(file.height);
-
-  std::vector<media::GrayImage> out;
-  out.reserve(file.frames.size());
-  media::GrayImage prev(dcw, dch);  // mid-frame fallback when frame 0 fails
-  for (int x = 0; x < dcw; ++x) {
-    for (int y = 0; y < dch; ++y) prev.set(x, y, 128);
-  }
-  int decoded = 0;
-  // Once a frame in a GOP fails, every P-frame until the next I-frame
-  // predicts from garbage; hold the last good DC image until the stream
-  // resynchronises at an I-frame.
-  bool skipping = false;
-  for (size_t i = 0; i < file.frames.size(); ++i) {
-    if (cancel != nullptr && cancel->cancelled()) {
-      return util::Status::Cancelled("DC image extraction cancelled");
-    }
-    const bool intra = file.frames[i].type == FrameType::kIntra;
-    if (skipping && intra) skipping = false;
-    media::GrayImage dc(dcw, dch);
-    util::Status frame = skipping
-                             ? util::Status::DataLoss("GOP lost upstream")
-                             : DecodeDcFrame(file, i, prev, dcw, dch, &dc);
-    if (frame.ok()) {
-      ++decoded;
-      prev = dc;
-      out.push_back(std::move(dc));
-      continue;
-    }
-    if (!skipping) {
-      skipping = true;
-      report->gops_skipped += 1;
-      report->AddNote("decode: frame " + std::to_string(i) + ": " +
-                      frame.message());
-    }
-    report->items_dropped += 1;
-    out.push_back(prev);  // keep frame indices aligned with the container
-  }
-  if (decoded == 0 && !file.frames.empty()) {
-    return util::Status::DataLoss("no frame in the stream decodes");
-  }
-  report->items_recovered += decoded;
-  return out;
+  return DecodeDcSequence(file, report != nullptr ? report : &local, cancel);
 }
 
 double Psnr(const media::Image& a, const media::Image& b) {

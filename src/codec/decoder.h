@@ -13,11 +13,13 @@
 
 namespace classminer::codec {
 
-// Fully decodes a CMV file back into an in-memory video. `cancel` (borrowed,
-// may be null) is checked between frames, so long decodes stop mid-sequence
-// with kCancelled instead of running to completion.
+// Fully decodes a CMV file back into an in-memory video. GOPs (derived from
+// the frame records; a stored gop_index is ignored) decode in parallel on
+// ctx's pool, bit-identical at any width. ctx's token is checked between
+// frames (kCancelled); of several failing GOPs the first in order decides.
 util::StatusOr<media::Video> DecodeVideo(
-    const CmvFile& file, const util::CancellationToken* cancel = nullptr);
+    const CmvFile& file,
+    const util::ExecutionContext& ctx = util::ExecutionContext());
 
 // Compressed-domain fast path: reconstructs the sequence of DC images (one
 // luma mean per 8x8 block, i.e. a width/8 x height/8 thumbnail per frame)
@@ -47,19 +49,24 @@ namespace internal {
 
 // Decodes one frame record into a full pixel reconstruction. For kIntra
 // frames `ref` is ignored; for kPredicted frames `ref` must hold the
-// previous reconstruction at the same dimensions. This is the shared
-// per-frame core of DecodeVideo and GopReader, so selective GOP decode is
-// bit-identical to the sequential full decode by construction.
+// previous reconstruction at the same dimensions.
 //
 // `scratch` (may be null → heap) backs the returned picture's planes and
 // the transient prediction planes. An arena-backed picture is only valid
-// until the arena resets; callers double-buffer two arenas so the previous
-// reconstruction stays live while the next frame decodes (see DecodeVideo).
+// until the arena resets (see DecodeGopFrames).
 util::StatusOr<Picture> DecodePicture(const FrameRecord& rec, int width,
                                       int height, int quality,
                                       const Picture* ref,
                                       std::pmr::memory_resource* scratch =
                                           nullptr);
+
+// The one per-GOP loop behind DecodeVideo and GopReader::DecodeGop: appends
+// `gop`'s frames to *frames as each decodes, double-buffering in arenas[0..1]
+// (reusable across calls). `cancel` (may be null) is checked between frames.
+util::Status DecodeGopFrames(const CmvFile& file, const GopIndexEntry& gop,
+                             const util::CancellationToken* cancel,
+                             util::Arena* arenas,
+                             std::vector<media::Image>* frames);
 
 }  // namespace internal
 }  // namespace classminer::codec

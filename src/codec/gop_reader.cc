@@ -1,11 +1,9 @@
 #include "codec/gop_reader.h"
 
-#include <optional>
 #include <string>
 #include <utility>
 
 #include "codec/decoder.h"
-#include "codec/dct.h"
 #include "util/arena.h"
 #include "util/failpoint.h"
 
@@ -31,23 +29,6 @@ util::StatusOr<GopReader> GopReader::Create(const CmvFile* file) {
   return GopReader(file, std::move(derived).value());
 }
 
-int GopReader::GopOfFrame(int frame_index) const {
-  if (index_.empty() || frame_index < 0 || frame_index >= frame_count()) {
-    return -1;
-  }
-  int lo = 0;
-  int hi = gop_count() - 1;
-  while (lo < hi) {
-    const int mid = (lo + hi + 1) / 2;
-    if (index_[static_cast<size_t>(mid)].start_frame <= frame_index) {
-      lo = mid;
-    } else {
-      hi = mid - 1;
-    }
-  }
-  return lo;
-}
-
 util::StatusOr<std::vector<media::Image>> GopReader::DecodeGop(
     int g, const util::CancellationToken* cancel) const {
   CLASSMINER_RETURN_IF_ERROR(
@@ -60,28 +41,9 @@ util::StatusOr<std::vector<media::Image>> GopReader::DecodeGop(
   const GopIndexEntry& entry = index_[static_cast<size_t>(g)];
   std::vector<media::Image> frames;
   frames.reserve(static_cast<size_t>(entry.frame_count));
-  // Same double-buffered arena scheme as DecodeVideo: the frame being
-  // decoded and its reference live in alternating arenas; the arena being
-  // reset only holds the frame from two steps back.
   util::Arena arenas[2];
-  std::optional<Picture> slots[2];
-  const Picture* recon = nullptr;
-  for (int i = 0; i < entry.frame_count; ++i) {
-    if (cancel != nullptr && cancel->cancelled()) {
-      return util::Status::Cancelled("GOP decode cancelled");
-    }
-    const FrameRecord& rec =
-        file_->frames[static_cast<size_t>(entry.start_frame + i)];
-    util::Arena& frame_arena = arenas[i % 2];
-    slots[i % 2].reset();
-    frame_arena.Reset();
-    util::StatusOr<Picture> next = internal::DecodePicture(
-        rec, file_->width, file_->height, file_->quality,
-        i == 0 ? nullptr : recon, &frame_arena);
-    CLASSMINER_RETURN_IF_ERROR(next.status());
-    recon = &slots[i % 2].emplace(std::move(*next));
-    frames.push_back(ToImage(*recon, file_->width, file_->height));
-  }
+  CLASSMINER_RETURN_IF_ERROR(
+      internal::DecodeGopFrames(*file_, entry, cancel, arenas, &frames));
   return frames;
 }
 

@@ -12,9 +12,9 @@ namespace classminer::codec {
 
 // Random-access GOP decoder over a CMV container. Each GOP opens with an
 // I-frame, so decoding it needs no state from earlier GOPs: the reader
-// seeks straight to the GOP's frame records and runs the shared per-frame
-// decode core (internal::DecodePicture) over them. Output is therefore
-// bit-identical to the corresponding slice of a full DecodeVideo pass.
+// seeks straight to the GOP's frame records and runs the same per-GOP
+// decode loop as DecodeVideo (internal::DecodeGopFrames) over them. Output
+// is therefore bit-identical to the corresponding slice of DecodeVideo.
 //
 // The reader borrows the file; it must outlive the reader. The reader
 // itself is immutable after Create and safe to share across threads.
@@ -30,7 +30,9 @@ class GopReader {
     return index_[static_cast<size_t>(g)];
   }
   // Index of the GOP containing `frame_index`, or -1 when out of range.
-  int GopOfFrame(int frame_index) const;
+  int GopOfFrame(int frame_index) const {
+    return CmvFile::FindGop(index_, frame_index);
+  }
 
   // Decodes every frame of GOP `g` (in stream order, starting at its
   // I-frame). `cancel` (borrowed, may be null) is checked between frames.

@@ -36,22 +36,25 @@ codec::CmvFile PackGeneratedVideo(const synth::GeneratedVideo& generated) {
 
 util::StatusOr<MiningResult> MineCmvFile(const codec::CmvFile& file,
                                          const MiningOptions& options) {
-  PipelineMetrics decode_metrics;
+  MiningResult result;
+  // One pool serves the GOP-parallel decode and then every mining stage,
+  // exactly as MineVideo would build it.
+  const std::unique_ptr<util::ThreadPool> pool =
+      options.thread_count > 1
+          ? std::make_unique<util::ThreadPool>(options.thread_count)
+          : nullptr;
+  util::StatusSink sink;
+  const util::ExecutionContext ctx(pool.get(), nullptr, options.cancel,
+                                   &sink);
   util::StatusOr<media::Video> video = [&] {
-    StageTimer timer(&decode_metrics, "decode");
-    auto decoded = codec::DecodeVideo(file, options.cancel);
+    // Decode time leads the stage table so the CLI/bench see the whole cost.
+    StageTimer timer(&result.metrics, "decode", ctx.thread_count());
     timer.set_items(file.frame_count());
-    return decoded;
+    return codec::DecodeVideo(file, ctx);
   }();
   if (!video.ok()) return video.status();
-  util::StatusOr<MiningResult> mined =
-      MineVideo(*video, AudioFromFile(file), options);
-  if (!mined.ok()) return mined.status();
-  MiningResult result = std::move(*mined);
-  // Decode time leads the stage table so the CLI/bench see the whole cost.
-  result.metrics.stages.insert(result.metrics.stages.begin(),
-                               decode_metrics.stages.begin(),
-                               decode_metrics.stages.end());
+  CLASSMINER_RETURN_IF_ERROR(
+      MineVideoInto(*video, AudioFromFile(file), options, ctx, &result));
   return result;
 }
 

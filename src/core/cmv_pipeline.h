@@ -19,14 +19,15 @@ codec::CmvFile PackGeneratedVideo(const synth::GeneratedVideo& generated,
 codec::CmvFile PackGeneratedVideo(const synth::GeneratedVideo& generated);
 
 // Decodes a CMV file and runs the full mining pipeline on it, using the
-// embedded audio track when present.
+// embedded audio track when present. The decode fans GOPs out over the same
+// pool (options.thread_count wide) that then runs the mining stages.
 util::StatusOr<MiningResult> MineCmvFile(const codec::CmvFile& file,
                                          const MiningOptions& options);
 util::StatusOr<MiningResult> MineCmvFile(const codec::CmvFile& file);
 
 // Compressed-domain fast path: shot spans come from DC-image differences
-// without a full decode; only the representative frames are then decoded
-// (here: full decode once, feature extraction on rep frames only) before
+// without a full decode; only the GOPs holding representative (and cue)
+// frames are then decoded, through a codec::FrameSource, before
 // structure/cue/event mining. Returns the same MiningResult shape.
 util::StatusOr<MiningResult> MineCmvFileFast(const codec::CmvFile& file,
                                              const MiningOptions& options);

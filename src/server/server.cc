@@ -90,8 +90,9 @@ bool CacheSignature(const Request& request, std::string* path,
 struct ClassMinerServer::ConnShared {
   std::mutex mu;
   std::condition_variable cv;
-  size_t queued_bytes = 0;  // reactor's write_queue_bytes, mirrored
-  bool dead = false;        // connection closed; stop waiting, drop output
+  size_t queued_bytes = 0;   // reactor's write_queue_bytes, mirrored
+  size_t transit_bytes = 0;  // chunk frames posted by workers, not yet queued
+  bool dead = false;         // connection closed; stop waiting, drop output
   // Last wire activity (NowMs), stamped by the reactor on accept, read and
   // write progress; read by the deadline monitor's idle reaper.
   std::atomic<int64_t> last_activity_ms{0};
@@ -557,6 +558,15 @@ void ClassMinerServer::ReactorLoop() {
     }
     for (uint64_t id : done) CloseConnection(id);
   }
+  // Multiplexer loss ends the loop with sessions still open; nothing will
+  // drain their queues now, so release any op waiting out backpressure.
+  for (const auto& [id, conn] : conns_) {
+    {
+      std::lock_guard<std::mutex> lock(conn->shared->mu);
+      conn->shared->dead = true;
+    }
+    conn->shared->cv.notify_all();
+  }
 }
 
 void ClassMinerServer::BeginDrain() {
@@ -588,6 +598,11 @@ void ClassMinerServer::HandleAccept() {
       continue;
     }
     if (static_cast<int>(conns_.size()) >= options_.max_connections) {
+      {
+        // Counted before the peer can observe the rejection.
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        ++stats_.connections_rejected;
+      }
       // The peer's first read (its hello response) reports the rejection.
       // The fresh fd is still blocking, so one synchronous frame is fine.
       const Response busy = MakeResponse(
@@ -598,8 +613,6 @@ void ClassMinerServer::HandleAccept() {
                          options_.max_frame_bytes);
       }
       CloseFd(*fd);
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.connections_rejected;
       continue;
     }
     if (!SetNonBlocking(*fd, true).ok()) {
@@ -1208,16 +1221,15 @@ void ClassMinerServer::ProcessEvents() {
     Connection* conn = it->second.get();
     switch (event.kind) {
       case WorkerEvent::Kind::kChunk: {
-        Response chunk;
-        chunk.request_id = event.request_id;
-        chunk.final_chunk = false;
-        chunk.body = std::move(event.response.body);
-        util::StatusOr<std::vector<uint8_t>> bytes = chunk.SerializeChunk();
-        if (bytes.ok()) {
-          util::StatusOr<std::vector<uint8_t>> frame = EncodeFrame(
-              kResponseMagicV2, *bytes, options_.max_frame_bytes);
-          if (frame.ok()) EnqueueFrameBytes(conn, std::move(*frame));
+        // Queue first, then release the worker's in-transit count, so the
+        // bytes are never missing from both.
+        const size_t size = event.frame.size();
+        EnqueueFrameBytes(conn, std::move(event.frame));
+        {
+          std::lock_guard<std::mutex> lock(conn->shared->mu);
+          conn->shared->transit_bytes -= size;
         }
+        conn->shared->cv.notify_all();
         break;
       }
       case WorkerEvent::Kind::kFinal: {
@@ -1310,20 +1322,37 @@ void ClassMinerServer::WorkerRun(const std::shared_ptr<TaskCtx>& ctx) {
                     ctx->request.kind == RequestKind::kSkim)) {
       env.chunk_bytes = options_.stream_chunk_bytes;
       env.chunk_sink = [this, ctx](const std::string& fragment) {
+        Response chunk;
+        chunk.request_id = ctx->request.request_id;
+        chunk.final_chunk = false;
+        chunk.body = fragment;
+        util::StatusOr<std::vector<uint8_t>> bytes = chunk.SerializeChunk();
+        if (!bytes.ok()) return;
+        util::StatusOr<std::vector<uint8_t>> frame =
+            EncodeFrame(kResponseMagicV2, *bytes, options_.max_frame_bytes);
+        if (!frame.ok()) return;
+        {
+          std::lock_guard<std::mutex> lock(ctx->shared->mu);
+          ctx->shared->transit_bytes += frame->size();
+        }
         WorkerEvent event;
         event.kind = WorkerEvent::Kind::kChunk;
         event.conn_id = ctx->conn_id;
         event.v2 = true;
         event.request_id = ctx->request.request_id;
-        event.response.body = fragment;
+        event.frame = std::move(*frame);
         PostEvent(std::move(event));
-        // Backpressure: the op pauses until the peer drains its socket
-        // below the write-queue bound (or the session dies). A slow reader
-        // stalls only its own op, never the reactor or other sessions.
+        // Backpressure: the op pauses while its queued plus in-transit
+        // bytes exceed the write-queue bound, until the peer drains its
+        // socket (or the session dies). Counting the frames still on their
+        // way to the reactor keeps them from piling up past the bound. A
+        // slow reader stalls only its own op, never the reactor or other
+        // sessions.
         std::unique_lock<std::mutex> lock(ctx->shared->mu);
         ctx->shared->cv.wait(lock, [&] {
           return ctx->shared->dead ||
-                 ctx->shared->queued_bytes <= options_.max_write_queue_bytes;
+                 ctx->shared->queued_bytes + ctx->shared->transit_bytes <=
+                     options_.max_write_queue_bytes;
         });
       };
     }

@@ -242,11 +242,12 @@ class ClassMinerServer {
     uint64_t conn_id = 0;
     bool v2 = false;
     uint32_t request_id = 0;
-    Response response;          // kFinal / kChunk (fragment in body)
-    size_t streamed_bytes = 0;  // kFinal: prefix already sent as chunks
-    Request request;            // kRedispatch
-    bool owns_id = false;       // kFinal/kRedispatch: mirrors PendingRequest
-    std::string idem_lead;      // kRedispatch: idempotency lead carried over
+    Response response;           // kFinal
+    std::vector<uint8_t> frame;  // kChunk: the encoded wire frame
+    size_t streamed_bytes = 0;   // kFinal: prefix already sent as chunks
+    Request request;             // kRedispatch
+    bool owns_id = false;        // kFinal/kRedispatch: mirrors PendingRequest
+    std::string idem_lead;       // kRedispatch: idempotency lead carried over
   };
 
   // One requests-with-deadline record the monitor thread watches.

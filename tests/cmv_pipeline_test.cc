@@ -77,6 +77,21 @@ TEST_F(CmvPipelineTest, CorruptFileSurfacesError) {
   EXPECT_FALSE(core::MineCmvFile(broken).ok());
 }
 
+TEST_F(CmvPipelineTest, DecodeRowLeadsAndReportsThePoolWidth) {
+  for (int threads : {1, 3}) {
+    core::MiningOptions options;
+    options.thread_count = threads;
+    util::StatusOr<core::MiningResult> mined =
+        core::MineCmvFile(*file_, options);
+    ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+    ASSERT_FALSE(mined->metrics.stages.empty());
+    const core::StageMetrics& decode = mined->metrics.stages.front();
+    EXPECT_EQ(decode.name, "decode");
+    EXPECT_EQ(decode.items, file_->frame_count());
+    EXPECT_EQ(decode.threads, threads);  // the pool the GOPs fanned out on
+  }
+}
+
 TEST_F(CmvPipelineTest, FastPathDecodesStrictlyFewerFrames) {
   ASSERT_GT(file_->gop_count(), 1) << "corpus must span multiple GOPs";
   util::StatusOr<core::MiningResult> fast =

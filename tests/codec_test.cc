@@ -1,20 +1,115 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <memory>
+#include <new>
 
 #include "codec/bitstream.h"
 #include "codec/container.h"
 #include "codec/decoder.h"
 #include "codec/dct.h"
 #include "codec/encoder.h"
+#include "codec/gop_reader.h"
 #include "codec/motion.h"
 #include "codec/quant.h"
 #include "media/color.h"
 #include "media/draw.h"
+#include "util/arena.h"
+#include "util/exec_context.h"
 #include "util/rng.h"
+#include "util/threadpool.h"
+
+namespace {
+
+// Allocation trap on aligned operator new: while armed, the
+// `countdown`-th aligned allocation of exactly `size` bytes runs `action`
+// first. The decode tests size it to an arena chunk: every decode task
+// allocates exactly two (one per double-buffered arena, at frames 0 and 1
+// of its first GOP) and nothing else in a decode allocates that way, so a
+// test can throw or cancel inside a GOP task. Unarmed, it costs one load.
+struct AllocTrap {
+  std::atomic<size_t> size{0};
+  std::atomic<int> countdown{0};
+  void (*action)() = nullptr;
+};
+AllocTrap g_alloc_trap;
+
+// Counts plain operator new calls of exactly `size` bytes while armed. The
+// decode tests size it to one frame's pixels (width x height x Rgb), which
+// nothing else in a decode allocates, to count the frames a decode builds.
+struct AllocCounter {
+  std::atomic<size_t> size{0};
+  std::atomic<int> count{0};
+};
+AllocCounter g_alloc_counter;
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  const size_t armed = g_alloc_counter.size.load(std::memory_order_acquire);
+  if (armed != 0 && size == armed) g_alloc_counter.count.fetch_add(1);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+void* operator new(std::size_t size, std::align_val_t align) {
+  const size_t armed = g_alloc_trap.size.load(std::memory_order_acquire);
+  if (armed != 0 && size == armed &&
+      g_alloc_trap.countdown.fetch_sub(1) == 1) {
+    g_alloc_trap.action();
+  }
+  const size_t a = static_cast<size_t>(align);
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs an inlined free() with a new.
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace classminer::codec {
 namespace {
+
+class ScopedAllocTrap {
+ public:
+  ScopedAllocTrap(size_t size, int nth, void (*action)()) {
+    g_alloc_trap.action = action;
+    g_alloc_trap.countdown.store(nth);
+    g_alloc_trap.size.store(size, std::memory_order_release);
+  }
+  ~ScopedAllocTrap() { g_alloc_trap.size.store(0, std::memory_order_release); }
+  ScopedAllocTrap(const ScopedAllocTrap&) = delete;
+  ScopedAllocTrap& operator=(const ScopedAllocTrap&) = delete;
+};
+
+// Counts the frames (pixel buffers of a width x height picture) built
+// while in scope.
+class ScopedFrameCounter {
+ public:
+  ScopedFrameCounter(int width, int height) {
+    g_alloc_counter.count.store(0);
+    g_alloc_counter.size.store(
+        sizeof(media::Rgb) * static_cast<size_t>(width) * height,
+        std::memory_order_release);
+  }
+  ~ScopedFrameCounter() {
+    g_alloc_counter.size.store(0, std::memory_order_release);
+  }
+  int count() const { return g_alloc_counter.count.load(); }
+  ScopedFrameCounter(const ScopedFrameCounter&) = delete;
+  ScopedFrameCounter& operator=(const ScopedFrameCounter&) = delete;
+};
 
 TEST(BitstreamTest, BitsRoundTrip) {
   BitWriter w;
@@ -291,6 +386,128 @@ TEST(CodecTest, DcSequenceDetectsBigChange) {
     }
   }
   EXPECT_GT(at_cut, 3.0 * max_within);
+}
+
+// ------------------------------------------------- GOP-parallel DecodeVideo
+
+// A decode task's first arena chunk (40x24 planes fit in it).
+constexpr size_t kChunkBytes = util::Arena::kDefaultChunkBytes;
+
+// 40 frames at GOP size 8: five GOPs of eight.
+CmvFile FiveGopFile() {
+  EncoderOptions opts;
+  opts.gop_size = 8;
+  return EncodeVideo(MakeTestVideo(40, 40, 24, 31), opts);
+}
+
+// Decodes on a pool of `width` threads (width 1: no pool, serial).
+util::StatusOr<media::Video> DecodeAtWidth(
+    const CmvFile& file, int width,
+    util::CancellationToken* cancel = nullptr) {
+  std::unique_ptr<util::ThreadPool> pool =
+      width > 1 ? std::make_unique<util::ThreadPool>(width) : nullptr;
+  return DecodeVideo(file,
+                     util::ExecutionContext(pool.get(), nullptr, cancel));
+}
+
+TEST(DecodeVideoTest, FirstFailingGopInStreamOrderDecidesAtEveryWidth) {
+  const CmvFile clean = FiveGopFile();
+  // An emptied P-frame runs out of bits; an all-zero one is a malformed
+  // exp-Golomb code. Frame 11 sits in GOP 1, frame 27 in GOP 3.
+  for (const bool emptied_first : {true, false}) {
+    CmvFile file = clean;
+    file.gop_index.clear();  // payload sizes change; let readers derive it
+    const size_t emptied = emptied_first ? 11 : 27;
+    const size_t zeroed = emptied_first ? 27 : 11;
+    file.frames[emptied].payload.clear();
+    ASSERT_GE(file.frames[zeroed].payload.size(), 8u);
+    std::fill(file.frames[zeroed].payload.begin(),
+              file.frames[zeroed].payload.end(), 0);
+
+    util::StatusOr<GopReader> reader = GopReader::Create(&file);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    const util::Status gop1 = reader->DecodeGop(1).status();
+    const util::Status gop3 = reader->DecodeGop(3).status();
+    ASSERT_FALSE(gop1.ok());
+    ASSERT_FALSE(gop3.ok());
+    ASSERT_NE(gop1.message(), gop3.message());  // the order is observable
+    for (int width : {1, 2, 4}) {
+      ScopedFrameCounter frames(40, 24);
+      const util::Status status = DecodeAtWidth(file, width).status();
+      EXPECT_EQ(status.code(), gop1.code()) << "width " << width;
+      EXPECT_EQ(status.message(), gop1.message()) << "width " << width;
+      // Serially the decode stops at the failure: GOP 0 and frames 8-10 of
+      // GOP 1 are built, and no GOP after it is decoded.
+      if (width == 1) EXPECT_EQ(frames.count(), 11);
+    }
+  }
+}
+
+// A small container can declare many frames; decode commits pixel memory
+// only for frames that decode, so garbage payloads fail fast at any width
+// instead of allocating the declared video first.
+TEST(DecodeVideoTest, GarbageFramesFailBeforeAllocatingTheDeclaredVideo) {
+  constexpr int kFrames = 4000;
+  CmvFile file;
+  file.width = 160;
+  file.height = 120;
+  const CmvFile valid = FiveGopFile();
+  for (const bool valid_first : {false, true}) {
+    // Every record a one-byte garbage I-frame (a GOP each), or one valid
+    // I-frame opening a GOP of one-byte garbage P-frames.
+    file.frames.assign(kFrames, FrameRecord{});
+    for (FrameRecord& rec : file.frames) {
+      rec.type = valid_first ? FrameType::kPredicted : FrameType::kIntra;
+      rec.payload = {0x5a};
+    }
+    if (valid_first) {
+      file.width = valid.width;
+      file.height = valid.height;
+      file.quality = valid.quality;
+      file.frames[0] = valid.frames[0];
+    }
+    for (int width : {1, 2, 4}) {
+      ScopedFrameCounter frames(file.width, file.height);
+      const util::Status status = DecodeAtWidth(file, width).status();
+      EXPECT_EQ(status.code(), util::StatusCode::kDataLoss)
+          << "width " << width << ": " << status.ToString();
+      EXPECT_EQ(frames.count(), valid_first ? 1 : 0) << "width " << width;
+    }
+  }
+}
+
+void ThrowBadAlloc() { throw std::bad_alloc(); }
+
+TEST(DecodeVideoTest, ThrowingGopTaskIsAStatusNotAPartialVideo) {
+  const CmvFile file = FiveGopFile();
+  for (int width : {1, 2, 4}) {
+    // The second chunk: at frame 0 or 1 of some GOP (serially, GOP 0 at
+    // frame 1, after frame 0 decoded).
+    util::StatusOr<media::Video> video = [&] {
+      ScopedAllocTrap trap(kChunkBytes, 2, &ThrowBadAlloc);
+      return DecodeAtWidth(file, width);
+    }();
+    ASSERT_FALSE(video.ok()) << "width " << width << " returned a video";
+    EXPECT_EQ(video.status().code(), util::StatusCode::kInternal);
+  }
+}
+
+util::CancellationToken* g_cancel_target = nullptr;
+void CancelTarget() { g_cancel_target->Cancel(); }
+
+TEST(DecodeVideoTest, CancellationMidDecodeIsCancelledAtEveryWidth) {
+  const CmvFile file = FiveGopFile();
+  for (int width : {1, 2, 4}) {
+    util::CancellationToken cancel;
+    g_cancel_target = &cancel;
+    // Fires on the second chunk, inside a GOP at frame 0 or 1 of 8: that
+    // GOP has frames left and stops at its next check.
+    ScopedAllocTrap trap(kChunkBytes, 2, &CancelTarget);
+    const util::Status status = DecodeAtWidth(file, width, &cancel).status();
+    EXPECT_TRUE(cancel.cancelled()) << "width " << width;
+    EXPECT_EQ(status.code(), util::StatusCode::kCancelled)
+        << "width " << width << ": " << status.ToString();
+  }
 }
 
 }  // namespace

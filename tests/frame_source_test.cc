@@ -14,7 +14,9 @@
 #include "codec/frame_source.h"
 #include "codec/gop_reader.h"
 #include "media/draw.h"
+#include "util/exec_context.h"
 #include "util/rng.h"
+#include "util/threadpool.h"
 
 namespace classminer {
 namespace {
@@ -196,6 +198,64 @@ TEST(GopReaderTest, RejectsBadGopIndexAndBadFile) {
             util::StatusCode::kDataLoss);
 }
 
+// ------------------------------------------------- GOP-parallel DecodeVideo
+
+// Decodes `file` on a pool of `width` threads (width 1: the default, serial
+// context).
+util::StatusOr<media::Video> DecodeAtWidth(const codec::CmvFile& file,
+                                           int width) {
+  if (width <= 1) return codec::DecodeVideo(file);
+  util::ThreadPool pool(width);
+  return codec::DecodeVideo(file, util::ExecutionContext(&pool));
+}
+
+// TSAN-run: pool workers fill the per-GOP frame lists.
+TEST(DecodeVideoTest, EveryPoolWidthMatchesSerialAndGopSlices) {
+  const codec::CmvFile file = EncodeTestFile(45, 6);  // 8 GOPs, last partial
+  util::StatusOr<codec::GopReader> reader = codec::GopReader::Create(&file);
+  ASSERT_TRUE(reader.ok());
+  std::vector<media::Image> slices;
+  for (int g = 0; g < reader->gop_count(); ++g) {
+    util::StatusOr<std::vector<media::Image>> gop = reader->DecodeGop(g);
+    ASSERT_TRUE(gop.ok()) << gop.status().ToString();
+    slices.insert(slices.end(), gop->begin(), gop->end());
+  }
+  ASSERT_EQ(static_cast<int>(slices.size()), file.frame_count());
+
+  for (int width : {1, 2, 4}) {
+    util::StatusOr<media::Video> video = DecodeAtWidth(file, width);
+    ASSERT_TRUE(video.ok()) << video.status().ToString();
+    EXPECT_EQ(video->name(), file.name);
+    EXPECT_EQ(video->fps(), file.fps);
+    EXPECT_EQ(video->frames(), slices) << "width " << width;
+  }
+}
+
+TEST(DecodeVideoTest, StreamStartingWithPFrameIsDataLossAtEveryWidth) {
+  codec::CmvFile file = EncodeTestFile(30, 8);
+  file.frames.erase(file.frames.begin());
+  for (int width : {1, 2, 4}) {
+    const util::Status status = DecodeAtWidth(file, width).status();
+    EXPECT_EQ(status.code(), util::StatusCode::kDataLoss) << width;
+    EXPECT_EQ(status.message(), "stream starts with P-frame") << width;
+  }
+}
+
+TEST(DecodeVideoTest, StoredGopIndexIsIgnored) {
+  const codec::CmvFile file = EncodeTestFile(30, 8);
+  util::StatusOr<media::Video> honest = codec::DecodeVideo(file);
+  ASSERT_TRUE(honest.ok());
+  codec::CmvFile lying = file;
+  lying.gop_index[1].frame_count += 3;  // overlaps GOP 2
+  lying.gop_index[2].start_frame += 5;  // and points mid-GOP
+  lying.gop_index.pop_back();           // and forgets the last GOP
+  for (int width : {1, 2, 4}) {
+    util::StatusOr<media::Video> video = DecodeAtWidth(lying, width);
+    ASSERT_TRUE(video.ok()) << video.status().ToString();
+    EXPECT_EQ(video->frames(), honest->frames()) << "width " << width;
+  }
+}
+
 // -------------------------------------------------------------- FrameSource
 
 TEST(FrameSourceTest, EveryFrameBitIdenticalToFullDecode) {
@@ -345,7 +405,10 @@ TEST(FrameSourceTest, CancellationStopsDecodeLoops) {
   util::CancellationToken cancel;
   cancel.Cancel();
 
-  EXPECT_EQ(codec::DecodeVideo(file, &cancel).status().code(),
+  EXPECT_EQ(codec::DecodeVideo(file, util::ExecutionContext(nullptr, nullptr,
+                                                            &cancel))
+                .status()
+                .code(),
             util::StatusCode::kCancelled);
   EXPECT_EQ(codec::DecodeDcImages(file, &cancel).status().code(),
             util::StatusCode::kCancelled);

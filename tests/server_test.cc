@@ -3,11 +3,16 @@
 // drain, and byte-identity between server responses and the shared
 // operation layer the CLI prints from.
 
+#include <arpa/inet.h>
+#include <dirent.h>
+#include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <chrono>
 #include <condition_variable>
 #include <fstream>
@@ -776,21 +781,86 @@ TEST_F(ServerTest, SingleFlightCacheRunsTheMiningPipelineOnce) {
   EXPECT_EQ(stats.requests_ok, static_cast<uint64_t>(kSessions + 1));
 }
 
+// A loopback connection whose receive buffer is the kernel minimum. The
+// buffer is shrunk before connect, so the SYN already advertises the small
+// window.
+util::StatusOr<int> ConnectWithTinyReceiveBuffer(int port) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return util::Status::Internal("socket failed");
+  const int tiny = 1;  // rounded up to the kernel minimum
+  (void)setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    CloseFd(fd);
+    return util::Status::Internal("connect failed");
+  }
+  return fd;
+}
+
+// The daemon's end of the loopback connection whose client end is
+// `client_fd`. The daemon runs in this process, so its accepted socket is
+// one of our own descriptors: the one whose address pair mirrors ours.
+int DaemonEndOf(int client_fd) {
+  sockaddr_in local{};
+  sockaddr_in peer{};
+  socklen_t len = sizeof(local);
+  if (getsockname(client_fd, reinterpret_cast<sockaddr*>(&local), &len) !=
+      0) {
+    return -1;
+  }
+  len = sizeof(peer);
+  if (getpeername(client_fd, reinterpret_cast<sockaddr*>(&peer), &len) != 0) {
+    return -1;
+  }
+  const auto same = [](const sockaddr_in& a, const sockaddr_in& b) {
+    return a.sin_family == b.sin_family && a.sin_port == b.sin_port &&
+           a.sin_addr.s_addr == b.sin_addr.s_addr;
+  };
+  DIR* dir = opendir("/proc/self/fd");
+  if (dir == nullptr) return -1;
+  int found = -1;
+  while (const dirent* entry = readdir(dir)) {
+    if (entry->d_name[0] == '.') continue;
+    const int fd = std::atoi(entry->d_name);
+    sockaddr_in a{};
+    sockaddr_in b{};
+    socklen_t la = sizeof(a);
+    socklen_t lb = sizeof(b);
+    if (fd != client_fd &&
+        getsockname(fd, reinterpret_cast<sockaddr*>(&a), &la) == 0 &&
+        getpeername(fd, reinterpret_cast<sockaddr*>(&b), &lb) == 0 &&
+        same(a, peer) && same(b, local)) {
+      found = fd;
+      break;
+    }
+  }
+  closedir(dir);
+  return found;
+}
+
 TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
   const std::string cmv = TestContainer("slow.cmv", 29);
 
   ServerOptions options;
-  options.stream_chunk_bytes = 32;
-  options.max_write_queue_bytes = 64;  // tiny: a ~300 B report must stall
+  options.stream_chunk_bytes = 1;      // every report byte is its own frame
+  options.max_write_queue_bytes = 64;  // tiny: the op must stall
   StartServer(std::move(options));
 
   const OpEnv env;
   const OpResult want = SkimOp(cmv, 3, env, nullptr);
   ASSERT_TRUE(want.ok());
-  ASSERT_GT(want.report.size(), 128u);  // big enough to trip the bound
+  // At ~39 wire bytes per one-byte chunk the reply is over 8 kB: more than
+  // both minimum-size socket buffers (~5 kB together on Linux) plus the
+  // write-queue bound can hold. The op cannot finish until the peer reads,
+  // however fast it mined.
+  ASSERT_GT(want.report.size(), 200u);
 
-  util::StatusOr<int> fd = ConnectTo("127.0.0.1", server_->port());
-  ASSERT_TRUE(fd.ok());
+  util::StatusOr<int> fd = ConnectWithTinyReceiveBuffer(server_->port());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
   SessionHello hello = MakeHello("slow", 3);
   Request handshake;
   handshake.kind = RequestKind::kHello;
@@ -799,10 +869,23 @@ TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
   ASSERT_TRUE(WriteFrame(*fd, kRequestMagicV2, *handshake.SerializeTagged(),
                          kMaxFrameBytes)
                   .ok());
+  // The hello reply streams in one-byte chunks too; read all of them.
   uint32_t magic = 0;
-  util::StatusOr<std::vector<uint8_t>> frame =
-      ReadFrameAny(*fd, {kResponseMagicV2}, kMaxFrameBytes, &magic);
-  ASSERT_TRUE(frame.ok());
+  util::StatusOr<std::vector<uint8_t>> frame = util::Status::Internal("unread");
+  for (bool final_chunk = false; !final_chunk;) {
+    frame = ReadFrameAny(*fd, {kResponseMagicV2}, kMaxFrameBytes, &magic);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    util::StatusOr<Response> chunk = Response::ParseChunk(*frame);
+    ASSERT_TRUE(chunk.ok());
+    ASSERT_EQ(chunk->request_id, 1u);
+    final_chunk = chunk->final_chunk;
+  }
+  // The daemon has accepted by now; shrink its end of the connection too.
+  const int daemon_fd = DaemonEndOf(*fd);
+  ASSERT_GE(daemon_fd, 0);
+  const int tiny = 1;
+  ASSERT_EQ(setsockopt(daemon_fd, SOL_SOCKET, SO_SNDBUF, &tiny, sizeof(tiny)),
+            0);
 
   Request skim;
   skim.kind = RequestKind::kSkim;
@@ -812,16 +895,18 @@ TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
                          kMaxFrameBytes)
                   .ok());
 
-  // Do not read. The op fills the socket + write queue to the bound, then
-  // its next chunk blocks on backpressure: the response cannot finish.
-  while (server_->StatsSnapshot().write_queue_peak_bytes == 0) {
-    std::this_thread::yield();
-  }
+  // Do not read. The hello reply is consumed, so anything readable now is
+  // the skim's own chunks: mining is over and the op is streaming. It fills
+  // both socket buffers and the write queue to the bound, then its next
+  // chunk blocks on backpressure: the response cannot finish.
+  pollfd readable{*fd, POLLIN, 0};
+  ASSERT_EQ(poll(&readable, 1, 60000), 1);
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   ServerStats stalled = server_->StatsSnapshot();
   EXPECT_EQ(stalled.requests_ok, 0u);  // still blocked mid-stream
+  EXPECT_GT(stalled.write_queue_peak_bytes, options.max_write_queue_bytes);
   // The queue never ran away: bound + one in-flight chunk frame + the
-  // posts-in-transit slack (each chunk frame is ~70 bytes here).
+  // posts-in-transit slack.
   EXPECT_LE(stalled.write_queue_peak_bytes,
             options.max_write_queue_bytes + 512);
 
