@@ -27,6 +27,8 @@ if [[ "${SKIP_SCALAR:-0}" != "1" ]]; then
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/codec_test
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/features_test
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/cmv_pipeline_test
+  CLASSMINER_DISABLE_SIMD=1 ./build/tests/audio_test
+  CLASSMINER_DISABLE_SIMD=1 ./build/tests/util_test
   cmake --build build -j --target micro_kernels >/dev/null
   CLASSMINER_DISABLE_SIMD=1 ./build/bench/micro_kernels \
     --benchmark_min_time=0.01 >/dev/null
@@ -39,15 +41,17 @@ echo "== tier-1: server chaos (fault injection + reconnecting clients) =="
 scripts/server_chaos.sh build
 
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
-  echo "== tier-1: ThreadSanitizer (concurrency + parallel pipeline) =="
+  echo "== tier-1: ThreadSanitizer (concurrency + parallel pipeline + reactor) =="
   cmake -B build-tsan -S . -DCLASSMINER_TSAN=ON >/dev/null
-  cmake --build build-tsan -j --target concurrency_test parallel_pipeline_test pipeline_dag_test frame_source_test failpoint_test codec_test >/dev/null
+  cmake --build build-tsan -j --target concurrency_test parallel_pipeline_test pipeline_dag_test frame_source_test failpoint_test codec_test server_test result_cache_test >/dev/null
   ./build-tsan/tests/concurrency_test
   ./build-tsan/tests/parallel_pipeline_test
   ./build-tsan/tests/pipeline_dag_test
   ./build-tsan/tests/frame_source_test
   ./build-tsan/tests/failpoint_test
   ./build-tsan/tests/codec_test
+  ./build-tsan/tests/server_test
+  ./build-tsan/tests/result_cache_test
 
   echo "== tier-1: server smoke (TSAN) =="
   # The daemon's accept/worker/deadline threads and the client fan-out all
@@ -69,6 +73,17 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   ./build-asan/tests/failpoint_test
   ./build-asan/tests/codec_test
   ./build-asan/tests/persist_test
+
+  echo "== tier-1: audio (ASan, golden digests + lag-tail bounds) =="
+  cmake --build build-asan -j --target audio_test >/dev/null
+  ./build-asan/tests/audio_test
+
+  echo "== tier-1: protocol mutation + server (ASan) =="
+  # Hostile request/response frames from the seeded mutator, and the
+  # reactor's own suite.
+  cmake --build build-asan -j --target mutation_test server_test >/dev/null
+  ./build-asan/tests/mutation_test
+  ./build-asan/tests/server_test
 
   echo "== tier-1: arena + kernels (ASan, poisoned-on-reset chunks) =="
   # The arena poisons recycled chunks on Reset, so any use-after-reset in

@@ -15,57 +15,15 @@
 
 namespace classminer::server {
 
-util::StatusOr<Client> Client::Connect(const std::string& host, int port,
-                                       const SessionHello& hello,
-                                       size_t max_frame_bytes) {
-  util::StatusOr<int> fd = ConnectTo(host, port);
-  if (!fd.ok()) return fd.status();
-  Client client(*fd, max_frame_bytes);
-
-  util::StatusOr<std::string> credential = hello.Serialize();
-  if (!credential.ok()) return credential.status();
-  Request handshake;
-  handshake.kind = RequestKind::kHello;
-  handshake.args.push_back(std::move(*credential));
-  util::StatusOr<Response> response = client.Call(handshake);
-  if (!response.ok()) return response.status();
-  if (!response->ok()) return response->ToStatus();
-  return client;
-}
-
-util::StatusOr<Response> Client::Call(const Request& request) {
-  if (fd_ < 0) return util::Status::FailedPrecondition("client closed");
-  util::StatusOr<std::vector<uint8_t>> bytes = request.Serialize();
-  if (!bytes.ok()) return bytes.status();
-  CLASSMINER_RETURN_IF_ERROR(
-      WriteFrame(fd_, kRequestMagic, *bytes, max_frame_));
-  util::StatusOr<std::vector<uint8_t>> frame =
-      ReadFrame(fd_, kResponseMagic, max_frame_);
-  if (!frame.ok()) return frame.status();
-  return Response::Parse(*frame);
-}
-
-util::StatusOr<std::string> Client::CallForReport(
-    RequestKind kind, std::vector<std::string> args, uint32_t deadline_ms) {
-  Request request;
-  request.kind = kind;
-  request.deadline_ms = deadline_ms;
-  request.args = std::move(args);
-  util::StatusOr<Response> response = Call(request);
-  if (!response.ok()) return response.status();
-  if (!response->ok()) return response->ToStatus();
-  return std::move(response->body);
-}
-
-void Client::Close() {
-  CloseFd(fd_);
-  fd_ = -1;
-}
-
 // ---------------------------------------------------------------------------
 // PipelinedClient
 
 struct PipelinedClient::State {
+  // Lock order: write_mu, then mu. write_mu keeps each request frame whole
+  // on the wire and is held across the blocking send; mu guards everything
+  // else and is never held across socket I/O, so the reader can always
+  // resolve calls while a writer waits for a paused daemon to read again.
+  std::mutex write_mu;
   std::mutex mu;
   int fd = -1;
   size_t max_frame = kMaxFrameBytes;
@@ -95,9 +53,8 @@ struct PipelinedClient::State {
 void PipelinedClient::State::ReaderLoop(
     const std::shared_ptr<State>& state) {
   for (;;) {
-    uint32_t magic = 0;
-    util::StatusOr<std::vector<uint8_t>> frame = ReadFrameAny(
-        state->fd, {kResponseMagicV2}, state->max_frame, &magic);
+    util::StatusOr<std::vector<uint8_t>> frame =
+        ReadFrame(state->fd, kResponseMagicV2, state->max_frame);
     util::Status dead = util::Status::Ok();
     if (!frame.ok()) {
       dead = frame.status();
@@ -133,9 +90,8 @@ util::StatusOr<std::unique_ptr<PipelinedClient>> PipelinedClient::Connect(
   util::StatusOr<int> fd = ConnectTo(host, port);
   if (!fd.ok()) return fd.status();
 
-  // Handshake synchronously, before the reader exists: one tagged hello,
-  // one final chunk back. A capacity rejection arrives as a v1 frame (the
-  // server answers before it knows the session's version), so accept both.
+  // Handshake synchronously, before the reader exists: one hello, one final
+  // chunk back (a capacity refusal is such a chunk too).
   util::StatusOr<std::string> credential = hello.Serialize();
   if (!credential.ok()) {
     CloseFd(*fd);
@@ -153,16 +109,13 @@ util::StatusOr<std::unique_ptr<PipelinedClient>> PipelinedClient::Connect(
     CloseFd(*fd);
     return sent;
   }
-  uint32_t magic = 0;
-  util::StatusOr<std::vector<uint8_t>> frame = ReadFrameAny(
-      *fd, {kResponseMagicV2, kResponseMagic}, max_frame_bytes, &magic);
+  util::StatusOr<std::vector<uint8_t>> frame =
+      ReadFrame(*fd, kResponseMagicV2, max_frame_bytes);
   if (!frame.ok()) {
     CloseFd(*fd);
     return frame.status();
   }
-  util::StatusOr<Response> response = magic == kResponseMagicV2
-                                          ? Response::ParseChunk(*frame)
-                                          : Response::Parse(*frame);
+  util::StatusOr<Response> response = Response::ParseChunk(*frame);
   if (!response.ok()) {
     CloseFd(*fd);
     return response.status();
@@ -193,7 +146,8 @@ std::future<util::StatusOr<Response>> PipelinedClient::AsyncCall(
     failed.set_value(util::Status::FailedPrecondition("client closed"));
     return future;
   }
-  std::lock_guard<std::mutex> lock(state_->mu);
+  std::lock_guard<std::mutex> write_lock(state_->write_mu);
+  std::unique_lock<std::mutex> lock(state_->mu);
   if (state_->fd < 0 || !state_->fail.ok()) {
     failed.set_value(state_->fail.ok()
                          ? util::Status::FailedPrecondition("client closed")
@@ -207,13 +161,19 @@ std::future<util::StatusOr<Response>> PipelinedClient::AsyncCall(
     return future;
   }
   // Register before sending: the response may race the send returning.
-  State::Inflight& call = state_->inflight[request.request_id];
-  future = call.promise.get_future();
+  future = state_->inflight[request.request_id].promise.get_future();
+  const int fd = state_->fd;
+  lock.unlock();
   const util::Status sent =
-      WriteFrame(state_->fd, kRequestMagicV2, *bytes, state_->max_frame);
+      WriteFrame(fd, kRequestMagicV2, *bytes, state_->max_frame);
   if (!sent.ok()) {
-    call.promise.set_value(sent);
-    state_->inflight.erase(request.request_id);
+    lock.lock();
+    // The reader may have failed the call already.
+    auto it = state_->inflight.find(request.request_id);
+    if (it != state_->inflight.end()) {
+      it->second.promise.set_value(sent);
+      state_->inflight.erase(it);
+    }
   }
   return future;
 }
@@ -245,6 +205,9 @@ void PipelinedClient::Close() {
     }
   }
   if (state_->reader.joinable()) state_->reader.join();
+  // The shutdown also failed any send in progress; once no writer holds
+  // the descriptor it can close.
+  std::lock_guard<std::mutex> write_lock(state_->write_mu);
   std::lock_guard<std::mutex> lock(state_->mu);
   state_->FailAllLocked(util::Status::Unavailable("client closed"));
   CloseFd(state_->fd);

@@ -29,14 +29,6 @@ int64_t NowMs() {
       .count();
 }
 
-// The magic of an already-encoded frame (first four little-endian bytes).
-uint32_t FrameMagicOf(const std::vector<uint8_t>& frame) {
-  if (frame.size() < 4) return 0;
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(frame[i]) << (8 * i);
-  return v;
-}
-
 // Derives the cache identity of a request, when it has one. Only mine and
 // skim are cacheable: their reports depend solely on (container bytes,
 // options, flags). Browse renders through the session's credential and
@@ -107,12 +99,10 @@ struct ClassMinerServer::Connection {
   bool authenticated = false;
   index::UserCredential user;
 
-  // Requests read off the wire but not yet dispatched (pipeline depth or
-  // v1 serialization holding them back). Parse errors ride along as
-  // inline_error entries so v1 responses keep arrival order.
+  // Requests read off the wire but not yet dispatched (the pipeline depth
+  // holding them back). Parse errors ride along as inline_error entries.
   std::deque<PendingRequest> pending;
-  int executing = 0;             // responses still owed by workers/leaders
-  bool serial_inflight = false;  // a v1 request is in flight: stay serial
+  int executing = 0;  // responses still owed by workers/leaders
 
   // Write side: fully encoded frames; the front one is sent up to
   // write_offset. write_queue_bytes counts unsent bytes across the queue.
@@ -120,7 +110,7 @@ struct ClassMinerServer::Connection {
   size_t write_queue_bytes = 0;
   size_t write_offset = 0;
 
-  // Finished v2 responses whose bodies still chunk out as the queue
+  // Finished responses whose bodies still chunk out as the queue
   // drains (bounded memory: at most ~one chunk past the bound is encoded).
   struct Streaming {
     uint32_t request_id = 0;
@@ -131,25 +121,28 @@ struct ClassMinerServer::Connection {
   std::deque<Streaming> streaming;
 
   bool read_closed = false;  // EOF seen, framing damage, or drain begun
-  bool want_write = false;   // current poller write-interest registration
+  // Current poller registration. Read interest is off once read_closed, and
+  // while the session holds as much as one peer may make it hold (see
+  // SessionFull).
+  bool want_read = true;
+  bool want_write = false;
   std::shared_ptr<ConnShared> shared;
 
-  // v2 request_ids currently in flight on this session (registered at
-  // parse, released when the final response is enqueued). A second request
+  // request_ids currently in flight on this session (registered at parse,
+  // released when the final response is enqueued). A second request
   // reusing a live id is rejected — chunk reassembly would be ambiguous.
-  std::unordered_set<uint32_t> live_v2_ids;
+  std::unordered_set<uint32_t> live_ids;
   // Inline protocol-error answers charged against max_session_errors.
   int inline_errors = 0;
 
-  Connection(std::vector<uint32_t> magics, size_t max_frame)
-      : assembler(std::move(magics), max_frame) {}
+  explicit Connection(size_t max_frame)
+      : assembler(kRequestMagicV2, max_frame) {}
 };
 
 // Everything a pool task needs, detached from the Connection so the
 // session can die while the op still runs.
 struct ClassMinerServer::TaskCtx {
   uint64_t conn_id = 0;
-  bool v2 = false;
   Request request;
   index::UserCredential user;
   bool has_deadline = false;
@@ -551,9 +544,13 @@ void ClassMinerServer::ReactorLoop() {
       if (r.writable) FlushConn(conn);
     }
     ProcessEvents();
-    // Close sessions that have said everything they are going to say.
+    // Sessions with room again take up the frames they had to leave in
+    // their assembler and listen again; sessions that have said everything
+    // they are going to say close.
     std::vector<uint64_t> done;
     for (const auto& [id, conn] : conns_) {
+      PopFrames(conn.get(), /*all=*/false);
+      UpdateInterest(conn.get());
       if (conn->read_closed && ConnDrained(*conn)) done.push_back(id);
     }
     for (uint64_t id : done) CloseConnection(id);
@@ -583,7 +580,7 @@ void ClassMinerServer::BeginDrain() {
     conn->read_closed = true;
     conn->pending.clear();
     shutdown(conn->fd, SHUT_RD);
-    (void)poller_->Mod(conn->fd, id, /*read=*/false, conn->want_write);
+    UpdateInterest(conn.get());
   }
 }
 
@@ -603,13 +600,14 @@ void ClassMinerServer::HandleAccept() {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.connections_rejected;
       }
-      // The peer's first read (its hello response) reports the rejection.
-      // The fresh fd is still blocking, so one synchronous frame is fine.
+      // The peer's first read (its hello response) reports the rejection
+      // as a final chunk. The fresh fd is still blocking, so one
+      // synchronous frame is fine.
       const Response busy = MakeResponse(
           util::Status::Unavailable("server at connection capacity"));
-      util::StatusOr<std::vector<uint8_t>> bytes = busy.Serialize();
+      util::StatusOr<std::vector<uint8_t>> bytes = busy.SerializeChunk();
       if (bytes.ok()) {
-        (void)WriteFrame(*fd, kResponseMagic, *bytes,
+        (void)WriteFrame(*fd, kResponseMagicV2, *bytes,
                          options_.max_frame_bytes);
       }
       CloseFd(*fd);
@@ -620,9 +618,7 @@ void ClassMinerServer::HandleAccept() {
       continue;
     }
     const uint64_t id = next_conn_id_++;
-    auto conn = std::make_unique<Connection>(
-        std::vector<uint32_t>{kRequestMagic, kRequestMagicV2},
-        options_.max_frame_bytes);
+    auto conn = std::make_unique<Connection>(options_.max_frame_bytes);
     conn->id = id;
     conn->fd = *fd;
     conn->shared = std::make_shared<ConnShared>();
@@ -644,98 +640,93 @@ void ClassMinerServer::HandleAccept() {
 
 void ClassMinerServer::HandleReadable(Connection* conn) {
   uint8_t buf[64 * 1024];
-  for (;;) {
+  while (!conn->read_closed && !SessionFull(*conn)) {
     util::StatusOr<size_t> n = TryRecv(conn->fd, buf, sizeof(buf));
     if (!n.ok()) {
-      if (n.status().code() == util::StatusCode::kUnavailable) {
-        // Clean hangup. A torn frame at EOF matches the blocking daemon's
-        // "closed mid-frame" answer before the goodbye.
-        if (conn->assembler.partial_bytes() > 0) {
-          PendingRequest p;
-          p.inline_error = true;
-          p.error = MakeResponse(
-              util::Status::DataLoss("connection closed mid-frame"));
-          PushInlineError(conn, std::move(p));
-        }
-        conn->read_closed = true;
-        (void)poller_->Mod(conn->fd, conn->id, /*read=*/false,
-                           conn->want_write);
-      } else {
+      if (n.status().code() != util::StatusCode::kUnavailable) {
         CloseConnection(conn->id);
         return;
       }
+      // Clean hangup. A torn frame at EOF matches the blocking daemon's
+      // "closed mid-frame" answer before the goodbye.
+      if (conn->assembler.partial_bytes() > 0) {
+        PendingRequest p;
+        p.inline_error = true;
+        p.error = MakeResponse(
+            util::Status::DataLoss("connection closed mid-frame"));
+        PushInlineError(conn, std::move(p));
+      }
+      conn->read_closed = true;
       break;
     }
     if (*n == 0) break;  // would block; the poller re-arms us
     conn->shared->last_activity_ms.store(NowMs(), std::memory_order_relaxed);
     const util::Status fed = conn->assembler.Feed(buf, *n);
-    FrameAssembler::Frame frame;
-    while (conn->assembler.PopFrame(&frame)) {
-      PendingRequest p;
-      if (frame.magic == kRequestMagic) {
-        util::StatusOr<Request> request = Request::Parse(frame.body);
-        if (request.ok()) {
-          p.request = std::move(*request);
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.requests_received;
-        } else {
-          // The frame boundary held (CRC passed), so the stream stays
-          // usable; the error answer keeps its place in line.
-          p.inline_error = true;
-          p.error = MakeResponse(request.status());
-        }
-      } else {
-        p.v2 = true;
-        util::StatusOr<Request> request = Request::ParseTagged(frame.body);
-        if (request.ok() &&
-            !conn->live_v2_ids.insert(request->request_id).second) {
-          // The tag is still answering an earlier request: a second stream
-          // of chunks under the same id would reassemble ambiguously on the
-          // client. Reject the newcomer; the original keeps its id.
-          {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.duplicate_request_ids;
-          }
-          p.inline_error = true;
-          p.error = MakeResponse(util::Status::InvalidArgument(
-              "duplicate request_id " + std::to_string(request->request_id) +
-              " already in flight on this session"));
-          p.error.request_id = request->request_id;
-        } else if (request.ok()) {
-          p.owns_id = true;
-          p.request = std::move(*request);
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.requests_received;
-        } else {
-          p.inline_error = true;
-          p.error = MakeResponse(request.status());
-          p.error.request_id = PeekRequestId(frame.body);
-        }
-      }
-      if (p.inline_error) {
-        PushInlineError(conn, std::move(p));
-        if (conn->read_closed) break;  // error budget spent mid-batch
-      } else {
-        conn->pending.push_back(std::move(p));
-      }
-    }
+    // Framing damage: the stream cannot be trusted past this point. The
+    // frames before it are still answered, then a best-effort error
+    // response queues behind whatever was already owed, and the connection
+    // closes once flushed.
+    PopFrames(conn, /*all=*/!fed.ok());
     if (conn->read_closed) break;
     if (!fed.ok()) {
-      // Framing damage: the stream cannot be trusted past this point. A
-      // best-effort error response queues behind whatever was already owed,
-      // then the connection closes once flushed.
       PendingRequest p;
       p.inline_error = true;
       p.error = MakeResponse(fed);
       PushInlineError(conn, std::move(p));
       conn->read_closed = true;
-      (void)poller_->Mod(conn->fd, conn->id, /*read=*/false,
-                         conn->want_write);
       break;
     }
     if (*n < sizeof(buf)) break;  // likely drained; LT polling re-reports
   }
   TryDispatch(conn);
+  UpdateInterest(conn);
+}
+
+bool ClassMinerServer::SessionFull(const Connection& conn) const {
+  const size_t unanswered = conn.pending.size() +
+                            static_cast<size_t>(conn.executing) +
+                            conn.streaming.size();
+  return unanswered >= static_cast<size_t>(options_.max_pipeline) ||
+         conn.write_queue_bytes > options_.max_write_queue_bytes;
+}
+
+void ClassMinerServer::PopFrames(Connection* conn, bool all) {
+  std::vector<uint8_t> body;
+  while (!conn->read_closed && (all || !SessionFull(*conn)) &&
+         conn->assembler.PopFrame(&body)) {
+    PendingRequest p;
+    util::StatusOr<Request> request = Request::ParseTagged(body);
+    if (request.ok() && !conn->live_ids.insert(request->request_id).second) {
+      // The tag is still answering an earlier request: a second stream of
+      // chunks under the same id would reassemble ambiguously on the
+      // client. Reject the newcomer; the original keeps its id.
+      {
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        ++stats_.duplicate_request_ids;
+      }
+      p.inline_error = true;
+      p.error = MakeResponse(util::Status::InvalidArgument(
+          "duplicate request_id " + std::to_string(request->request_id) +
+          " already in flight on this session"));
+      p.error.request_id = request->request_id;
+    } else if (request.ok()) {
+      p.owns_id = true;
+      p.request = std::move(*request);
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      ++stats_.requests_received;
+    } else {
+      // The frame boundary held (CRC passed), so the stream stays usable.
+      p.inline_error = true;
+      p.error = MakeResponse(request.status());
+      p.error.request_id = PeekRequestId(body);
+    }
+    if (p.inline_error) {
+      PushInlineError(conn, std::move(p));
+    } else {
+      conn->pending.push_back(std::move(p));
+    }
+    TryDispatch(conn);
+  }
 }
 
 void ClassMinerServer::PushInlineError(Connection* conn,
@@ -753,7 +744,7 @@ void ClassMinerServer::PushInlineError(Connection* conn,
     // read. Every answer already owed (including this one) still flushes,
     // then the connection closes cleanly instead of wedging half-alive.
     conn->read_closed = true;
-    (void)poller_->Mod(conn->fd, conn->id, /*read=*/false, conn->want_write);
+    UpdateInterest(conn);
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.error_budget_closed;
   }
@@ -761,13 +752,9 @@ void ClassMinerServer::PushInlineError(Connection* conn,
 
 void ClassMinerServer::TryDispatch(Connection* conn) {
   while (!conn->pending.empty()) {
-    const PendingRequest& front = conn->pending.front();
-    // v1 semantics: one request at a time, in order. A v1 request neither
-    // starts while anything is in flight nor lets later requests pass it.
-    if (conn->serial_inflight) break;
-    if (!front.inline_error) {
-      if (!front.v2 && conn->executing > 0) break;
-      if (front.v2 && conn->executing >= options_.max_pipeline) break;
+    if (!conn->pending.front().inline_error &&
+        conn->executing >= options_.max_pipeline) {
+      break;
     }
     PendingRequest pending = std::move(conn->pending.front());
     conn->pending.pop_front();
@@ -780,11 +767,9 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
   if (pending.inline_error) {
     // Inline errors never registered a live id (a duplicate-id rejection
     // must not free the original's), so nothing is released here.
-    EnqueueFinal(conn, pending.v2, std::move(pending.error), 0,
-                 /*release_id=*/false);
+    EnqueueFinal(conn, std::move(pending.error), 0, /*release_id=*/false);
     return;
   }
-  const bool v2 = pending.v2;
   const bool owns_id = pending.owns_id;
   Request& request = pending.request;
 
@@ -794,7 +779,7 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
     // can still tell a load balancer how it is doing.
     Response response = MakeResponse(util::Status::Ok(), BuildHealthReport());
     response.request_id = request.request_id;
-    EnqueueFinal(conn, v2, std::move(response), 0, owns_id);
+    EnqueueFinal(conn, std::move(response), 0, owns_id);
     return;
   }
 
@@ -817,14 +802,14 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
       }
     }
     response.request_id = request.request_id;
-    EnqueueFinal(conn, v2, std::move(response), 0, owns_id);
+    EnqueueFinal(conn, std::move(response), 0, owns_id);
     return;
   }
   if (!conn->authenticated) {
     Response response = MakeResponse(util::Status::FailedPrecondition(
         "session not established; send hello first"));
     response.request_id = request.request_id;
-    EnqueueFinal(conn, v2, std::move(response), 0, owns_id);
+    EnqueueFinal(conn, std::move(response), 0, owns_id);
     return;
   }
 
@@ -845,17 +830,17 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
         std::to_string(required) + "; session '" + conn->user.name +
         "' has " + std::to_string(conn->user.clearance)));
     response.request_id = request.request_id;
-    EnqueueFinal(conn, v2, std::move(response), 0, owns_id);
+    EnqueueFinal(conn, std::move(response), 0, owns_id);
     return;
   }
 
-  // Idempotent resume (v2 sessions): a keyed request whose connection died
+  // Idempotent resume: a keyed request whose connection died
   // mid-call is resent with the same key after a reconnect. Recorded
   // outcomes replay byte-for-byte; a key still executing is joined — either
   // way the work runs at most once per key. A key is scoped to the user so
   // sessions cannot replay each other's outcomes.
   std::string idem_lead = std::move(pending.idem_lead);
-  if (v2 && idem_lead.empty() && !request.idempotency_key.empty()) {
+  if (idem_lead.empty() && !request.idempotency_key.empty()) {
     std::string key = std::string("idem\x1f") + conn->user.name + "\x1f" +
                       request.idempotency_key;
     CachedResult recorded;
@@ -863,11 +848,9 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
     const Request request_copy = request;
     const ResultCache::Admission admission = idem_cache_.JoinOrLead(
         key, &recorded,
-        [this, conn_id, v2, owns_id,
-         request_copy](const CachedResult* result) {
+        [this, conn_id, owns_id, request_copy](const CachedResult* result) {
           WorkerEvent event;
           event.conn_id = conn_id;
-          event.v2 = v2;
           event.owns_id = owns_id;
           event.request_id = request_copy.request_id;
           if (result != nullptr) {
@@ -896,7 +879,7 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
       response.body = std::move(recorded.body);
       response.request_id = request.request_id;
       CountOutcome(response);
-      EnqueueFinal(conn, v2, std::move(response), 0, owns_id);
+      EnqueueFinal(conn, std::move(response), 0, owns_id);
       return;
     }
     if (admission == ResultCache::Admission::kJoined) {
@@ -925,7 +908,7 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
         const Request request_copy = request;
         const ResultCache::Admission admission = cache_.JoinOrLead(
             *key, &cached,
-            [this, conn_id, v2, owns_id, idem_lead,
+            [this, conn_id, owns_id, idem_lead,
              request_copy](const CachedResult* result) {
               // Runs on the leader's worker thread when it completes.
               if (result != nullptr && !idem_lead.empty()) {
@@ -936,7 +919,6 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
               }
               WorkerEvent event;
               event.conn_id = conn_id;
-              event.v2 = v2;
               event.owns_id = owns_id;
               event.request_id = request_copy.request_id;
               if (result != nullptr) {
@@ -965,12 +947,11 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
           response.body = std::move(cached.body);
           response.request_id = request.request_id;
           CountOutcome(response);
-          EnqueueFinal(conn, v2, std::move(response), 0, owns_id);
+          EnqueueFinal(conn, std::move(response), 0, owns_id);
           return;
         }
         if (admission == ResultCache::Admission::kJoined) {
           ++conn->executing;
-          if (!v2) conn->serial_inflight = true;
           return;
         }
         lead_key = std::move(*key);
@@ -1008,7 +989,7 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
         "server queue full (" + std::to_string(queued) +
         " requests waiting); retry"));
     response.request_id = request.request_id;
-    EnqueueFinal(conn, v2, std::move(response), 0, owns_id);
+    EnqueueFinal(conn, std::move(response), 0, owns_id);
     return;
   }
   {
@@ -1019,7 +1000,6 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
 
   auto ctx = std::make_shared<TaskCtx>();
   ctx->conn_id = conn->id;
-  ctx->v2 = v2;
   ctx->user = conn->user;
   ctx->has_deadline = request.deadline_ms > 0;
   ctx->deadline = std::chrono::steady_clock::now() +
@@ -1031,30 +1011,19 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
   ctx->request = std::move(request);
 
   ++conn->executing;
-  if (!v2) conn->serial_inflight = true;
   pool_->Schedule([this, ctx] { WorkerRun(ctx); });
 }
 
-void ClassMinerServer::EnqueueFinal(Connection* conn, bool v2,
-                                    Response response, size_t streamed_bytes,
-                                    bool release_id) {
-  if (v2 && release_id) {
+void ClassMinerServer::EnqueueFinal(Connection* conn, Response response,
+                                    size_t streamed_bytes, bool release_id) {
+  if (release_id) {
     // The tagged id's lifetime ends with its final answer; the client may
     // legitimately reuse it for a fresh request after this frame.
-    conn->live_v2_ids.erase(response.request_id);
+    conn->live_ids.erase(response.request_id);
   }
-  if (!v2) {
-    util::StatusOr<std::vector<uint8_t>> bytes = response.Serialize();
-    if (!bytes.ok()) bytes = MakeResponse(bytes.status()).Serialize();
-    if (!bytes.ok()) return;  // cannot even say what went wrong
-    util::StatusOr<std::vector<uint8_t>> frame =
-        EncodeFrame(kResponseMagic, *bytes, options_.max_frame_bytes);
-    if (frame.ok()) EnqueueFrameBytes(conn, std::move(*frame));
-    return;
-  }
-  // v2: the body past what the op already streamed ships as chunk frames,
-  // paced by FillStreaming so a huge report never sits encoded in memory
-  // ahead of a slow reader.
+  // The body past what the op already streamed ships as chunk frames, paced
+  // by FillStreaming so a huge report never sits encoded in memory ahead of
+  // a slow reader.
   if (streamed_bytes > 0 && streamed_bytes <= response.body.size()) {
     response.body.erase(0, streamed_bytes);
   }
@@ -1107,14 +1076,13 @@ void ClassMinerServer::FillStreaming(Connection* conn) {
 
 void ClassMinerServer::EnqueueFrameBytes(Connection* conn,
                                          std::vector<uint8_t> frame) {
-  // Fault injection: duplicate a final v2 chunk on the wire, modelling a
+  // Fault injection: duplicate a final chunk on the wire, modelling a
   // retransmit-after-ack. Only FINAL chunks are duplicated — the client
   // forgets the tag once the final frame lands, so the copy exercises the
   // unknown-tag drop path; duplicating a middle chunk would instead corrupt
   // reassembly, which no real transport does under TCP.
   bool dup = false;
-  if (frame.size() >= 17 && FrameMagicOf(frame) == kResponseMagicV2 &&
-      (frame[16] & 1) != 0) {
+  if (frame.size() >= 17 && (frame[16] & 1) != 0) {
     dup = !util::FailPoint::Check("server.wire.frame.dup").ok();
   }
   for (int copies = dup ? 2 : 1; copies > 0; --copies) {
@@ -1132,7 +1100,7 @@ void ClassMinerServer::EnqueueFrameBytes(Connection* conn,
       stats_.write_queue_peak_bytes = conn->write_queue_bytes;
     }
   }
-  UpdateWriteInterest(conn);
+  UpdateInterest(conn);
 }
 
 void ClassMinerServer::FlushConn(Connection* conn) {
@@ -1164,15 +1132,16 @@ void ClassMinerServer::FlushConn(Connection* conn) {
     conn->shared->queued_bytes = conn->write_queue_bytes;
   }
   conn->shared->cv.notify_all();  // unblock ops waiting out backpressure
-  UpdateWriteInterest(conn);
+  UpdateInterest(conn);
 }
 
-void ClassMinerServer::UpdateWriteInterest(Connection* conn) {
-  const bool want =
-      !conn->write_queue.empty() || !conn->streaming.empty();
-  if (want == conn->want_write) return;
-  conn->want_write = want;
-  (void)poller_->Mod(conn->fd, conn->id, /*read=*/!conn->read_closed, want);
+void ClassMinerServer::UpdateInterest(Connection* conn) {
+  const bool read = !conn->read_closed && !SessionFull(*conn);
+  const bool write = !conn->write_queue.empty() || !conn->streaming.empty();
+  if (read == conn->want_read && write == conn->want_write) return;
+  conn->want_read = read;
+  conn->want_write = write;
+  (void)poller_->Mod(conn->fd, conn->id, read, write);
 }
 
 bool ClassMinerServer::ConnDrained(const Connection& conn) const {
@@ -1234,16 +1203,14 @@ void ClassMinerServer::ProcessEvents() {
       }
       case WorkerEvent::Kind::kFinal: {
         --conn->executing;
-        if (!event.v2) conn->serial_inflight = false;
         event.response.request_id = event.request_id;
-        EnqueueFinal(conn, event.v2, std::move(event.response),
-                     event.streamed_bytes, event.owns_id);
+        EnqueueFinal(conn, std::move(event.response), event.streamed_bytes,
+                     event.owns_id);
         TryDispatch(conn);
         break;
       }
       case WorkerEvent::Kind::kRedispatch: {
         --conn->executing;
-        if (!event.v2) conn->serial_inflight = false;
         if (draining_) {
           // The run this request had joined evaporated during shutdown.
           if (!event.idem_lead.empty()) {
@@ -1253,11 +1220,9 @@ void ClassMinerServer::ProcessEvents() {
           Response response =
               MakeResponse(util::Status::Unavailable("server stopping"));
           response.request_id = event.request_id;
-          EnqueueFinal(conn, event.v2, std::move(response), 0,
-                       event.owns_id);
+          EnqueueFinal(conn, std::move(response), 0, event.owns_id);
         } else {
           PendingRequest pending;
-          pending.v2 = event.v2;
           pending.owns_id = event.owns_id;
           pending.idem_lead = std::move(event.idem_lead);
           pending.request = std::move(event.request);
@@ -1317,9 +1282,9 @@ void ClassMinerServer::WorkerRun(const std::shared_ptr<TaskCtx>& ctx) {
     env.mining = options_.mining;
     env.mining.cancel = &cancel;
     env.media_dir = options_.media_dir;
-    if (ctx->v2 && (ctx->request.kind == RequestKind::kMine ||
-                    ctx->request.kind == RequestKind::kBrowse ||
-                    ctx->request.kind == RequestKind::kSkim)) {
+    if (ctx->request.kind == RequestKind::kMine ||
+        ctx->request.kind == RequestKind::kBrowse ||
+        ctx->request.kind == RequestKind::kSkim) {
       env.chunk_bytes = options_.stream_chunk_bytes;
       env.chunk_sink = [this, ctx](const std::string& fragment) {
         Response chunk;
@@ -1338,7 +1303,6 @@ void ClassMinerServer::WorkerRun(const std::shared_ptr<TaskCtx>& ctx) {
         WorkerEvent event;
         event.kind = WorkerEvent::Kind::kChunk;
         event.conn_id = ctx->conn_id;
-        event.v2 = true;
         event.request_id = ctx->request.request_id;
         event.frame = std::move(*frame);
         PostEvent(std::move(event));
@@ -1401,7 +1365,6 @@ void ClassMinerServer::WorkerRun(const std::shared_ptr<TaskCtx>& ctx) {
   WorkerEvent event;
   event.kind = WorkerEvent::Kind::kFinal;
   event.conn_id = ctx->conn_id;
-  event.v2 = ctx->v2;
   event.owns_id = ctx->owns_id;
   event.request_id = ctx->request.request_id;
   event.response = std::move(response);

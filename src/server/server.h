@@ -39,15 +39,16 @@ namespace classminer::server {
 // zero per-connection threads — thousands of idle sessions cost file
 // descriptors, not stacks.
 //
-// Sessions speak either protocol version (server/protocol.h): v1 requests
-// are answered serially in arrival order, exactly as the thread-per-
-// connection daemon did; v2 requests carry a request_id tag, pipeline up to
+// Requests (server/protocol.h) carry a request_id tag, pipeline up to
 // max_pipeline deep per session, complete out of order, and large reports
-// stream back as tagged chunks while the op is still running. Per-
-// connection write-queue memory is bounded: the worker's next chunk waits
-// until the peer drains the socket (slow readers stall only their own op),
-// and reactor-side chunking of large finished bodies defers until the
-// queue has room.
+// stream back as tagged chunks while the op is still running. What one
+// session can make the daemon hold is bounded. Its write queue is: the
+// worker's next chunk waits until the peer drains the socket (slow readers
+// stall only their own op), and reactor-side chunking of large finished
+// bodies defers until the queue has room. Its requests are too: while
+// max_pipeline of them are unanswered, or its write queue is past its
+// bound, the session is not read, so a peer that writes and never reads
+// stalls only itself.
 //
 // Mining-backed requests (mine, skim) share a single-flight result cache
 // keyed by (container identity, canonical options): N sessions asking for
@@ -76,15 +77,16 @@ struct ServerOptions {
   int max_connections = 1024;  // concurrent sessions (idle ones are cheap)
   size_t max_frame_bytes = kMaxFrameBytes;
 
-  // v2 pipelining depth per session: requests in flight beyond this stay
-  // buffered until one completes (v1 sessions are always depth 1).
+  // Pipelining depth per session: requests in flight beyond this stay
+  // buffered until one completes. A session with this many requests
+  // unanswered is not read until one is answered.
   int max_pipeline = 32;
-  // Streamed-response fragment size: v2 report bodies ship in chunks of
-  // this many bytes.
+  // Streamed-response fragment size: report bodies ship in chunks of this
+  // many bytes.
   size_t stream_chunk_bytes = 64u << 10;
   // Per-connection write-queue bound. Past it, ops streaming to that
-  // session block (backpressure) and reactor-side body chunking defers
-  // until the peer drains the socket.
+  // session block (backpressure), reactor-side body chunking defers and
+  // the session is not read until the peer drains the socket.
   size_t max_write_queue_bytes = 256u << 10;
 
   // Single-flight mining-result cache (mine/skim). Disabled, every request
@@ -106,7 +108,7 @@ struct ServerOptions {
   // A peer that keeps sending damage gets a clean goodbye, not a wedge.
   int max_session_errors = 8;
 
-  // Idempotent-retry record (v2 sessions): keyed request outcomes are
+  // Idempotent-retry record: keyed request outcomes are
   // remembered so a client that reconnects after a dropped connection and
   // resends the same key observes the original execution instead of
   // running the work again (at-most-once for repair). Bounded LRU; an
@@ -173,7 +175,7 @@ struct ServerStats {
   uint64_t idle_closed = 0;        // sessions reaped by the idle timeout
   uint64_t protocol_errors = 0;    // inline protocol-error answers
   uint64_t error_budget_closed = 0;  // sessions closed for repeat damage
-  uint64_t duplicate_request_ids = 0;  // v2 request_id collisions rejected
+  uint64_t duplicate_request_ids = 0;  // request_id collisions rejected
   uint64_t idempotent_hits = 0;    // keyed retries answered from the record
   uint64_t idempotent_joined = 0;  // keyed retries joined to the original
   // Scrubber mirror (see server/scrubber.h).
@@ -213,17 +215,15 @@ class ClassMinerServer {
   struct TaskCtx;      // everything a pool task needs, detached from conn
   class Poller;        // epoll with poll fallback
 
-  // One parsed-but-not-dispatched request (or a pre-answered parse error
-  // held in line so v1 ordering survives pipelined arrival).
+  // One parsed-but-not-dispatched request (or a pre-answered parse error).
   struct PendingRequest {
-    bool v2 = false;
     Request request;
     bool inline_error = false;
     Response error;  // when inline_error: answered without dispatch
     // This pending entry registered request.request_id in the session's
-    // live-id set; its final response releases the id. False for v1,
-    // inline errors, and duplicate-id rejections (the duplicate must not
-    // free the original's id).
+    // live-id set; its final response releases the id. False for inline
+    // errors and duplicate-id rejections (the duplicate must not free the
+    // original's id).
     bool owns_id = false;
     // Idempotency entry this request already leads (carried through a
     // cache redispatch so the request never re-joins its own entry).
@@ -233,14 +233,13 @@ class ClassMinerServer {
   // Worker -> reactor handoff.
   struct WorkerEvent {
     enum class Kind {
-      kChunk,       // a streamed report fragment (v2, non-final)
+      kChunk,       // a streamed report fragment (non-final)
       kFinal,       // the op's response; body is the full report
       kRedispatch,  // single-flight leader failed; run this request anew
       kCloseIdle,   // deadline monitor: conn_id exceeded the idle timeout
     };
     Kind kind = Kind::kFinal;
     uint64_t conn_id = 0;
-    bool v2 = false;
     uint32_t request_id = 0;
     Response response;           // kFinal
     std::vector<uint8_t> frame;  // kChunk: the encoded wire frame
@@ -261,18 +260,26 @@ class ClassMinerServer {
   void ReactorLoop();
   void HandleAccept();
   void HandleReadable(Connection* conn);
+  // True while the session holds as much as one peer may make it hold:
+  // max_pipeline unanswered requests, or a write queue past its bound.
+  bool SessionFull(const Connection& conn) const;
+  // Moves complete frames from the assembler into the pending line and
+  // dispatches them, stopping while the session is full unless `all`.
+  void PopFrames(Connection* conn, bool all);
   void TryDispatch(Connection* conn);
   void DispatchRequest(Connection* conn, PendingRequest&& pending);
   // Queues an inline protocol-error answer, charging the session's error
   // budget (read side closes once the budget is spent).
   void PushInlineError(Connection* conn, PendingRequest error);
   std::string BuildHealthReport() const;
-  void EnqueueFinal(Connection* conn, bool v2, Response response,
+  void EnqueueFinal(Connection* conn, Response response,
                     size_t streamed_bytes, bool release_id = false);
   void EnqueueFrameBytes(Connection* conn, std::vector<uint8_t> frame);
   void FillStreaming(Connection* conn);
   void FlushConn(Connection* conn);
-  void UpdateWriteInterest(Connection* conn);
+  // Registers read interest while the session may be read and write
+  // interest while it has output.
+  void UpdateInterest(Connection* conn);
   bool ConnDrained(const Connection& conn) const;
   void CloseConnection(uint64_t id);
   void ProcessEvents();

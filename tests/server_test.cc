@@ -58,35 +58,43 @@ SessionHello MakeHello(const std::string& user, int clearance) {
   return hello;
 }
 
+// One request frame as it travels on the wire.
+std::vector<uint8_t> RequestFrame(RequestKind kind, uint32_t request_id,
+                                  std::vector<std::string> args = {}) {
+  Request request;
+  request.kind = kind;
+  request.request_id = request_id;
+  request.args = std::move(args);
+  return *EncodeFrame(kRequestMagicV2, *request.SerializeTagged(),
+                      kMaxFrameBytes);
+}
+
+// Reads and parses one response chunk frame off a raw socket.
+util::StatusOr<Response> ReadChunk(int fd) {
+  util::StatusOr<std::vector<uint8_t>> frame =
+      ReadFrame(fd, kResponseMagicV2, kMaxFrameBytes);
+  if (!frame.ok()) return frame.status();
+  return Response::ParseChunk(*frame);
+}
+
 // ---------------------------------------------------------------------------
 // Protocol serialization
-
-TEST(ProtocolTest, RequestRoundTrip) {
-  Request request;
-  request.kind = RequestKind::kMine;
-  request.deadline_ms = 1500;
-  request.args = {"clip.cmv", "--fast"};
-  util::StatusOr<std::vector<uint8_t>> bytes = request.Serialize();
-  ASSERT_TRUE(bytes.ok());
-  util::StatusOr<Request> parsed = Request::Parse(*bytes);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->kind, RequestKind::kMine);
-  EXPECT_EQ(parsed->deadline_ms, 1500u);
-  EXPECT_EQ(parsed->args, request.args);
-}
 
 TEST(ProtocolTest, ResponseRoundTripIncludingNewCode) {
   Response response;
   response.code = StatusCode::kDeadlineExceeded;
   response.message = "too slow";
   response.body = "partial report\n";
-  util::StatusOr<std::vector<uint8_t>> bytes = response.Serialize();
+  response.request_id = 9;
+  util::StatusOr<std::vector<uint8_t>> bytes = response.SerializeChunk();
   ASSERT_TRUE(bytes.ok());
-  util::StatusOr<Response> parsed = Response::Parse(*bytes);
+  util::StatusOr<Response> parsed = Response::ParseChunk(*bytes);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->code, StatusCode::kDeadlineExceeded);
   EXPECT_EQ(parsed->message, "too slow");
   EXPECT_EQ(parsed->body, "partial report\n");
+  EXPECT_EQ(parsed->request_id, 9u);
+  EXPECT_TRUE(parsed->final_chunk);
 }
 
 TEST(ProtocolTest, HelloRoundTripCarriesCredential) {
@@ -109,26 +117,27 @@ TEST(ProtocolTest, ParseRejectsDamage) {
   Request request;
   request.kind = RequestKind::kSkim;
   request.args = {"a.cmv"};
-  std::vector<uint8_t> bytes = *request.Serialize();
-  // Unknown kind byte.
+  std::vector<uint8_t> bytes = *request.SerializeTagged();
+  // Unknown kind byte (offset: request_id 4).
   std::vector<uint8_t> bad_kind = bytes;
-  bad_kind[0] = 0x7f;
-  EXPECT_FALSE(Request::Parse(bad_kind).ok());
+  bad_kind[4] = 0x7f;
+  EXPECT_FALSE(Request::ParseTagged(bad_kind).ok());
   // Truncation inside the argument list.
-  std::vector<uint8_t> truncated(bytes.begin(), bytes.end() - 2);
-  EXPECT_FALSE(Request::Parse(truncated).ok());
+  std::vector<uint8_t> truncated(bytes.begin(), bytes.end() - 6);
+  EXPECT_FALSE(Request::ParseTagged(truncated).ok());
   // Trailing junk after a well-formed request.
   std::vector<uint8_t> trailing = bytes;
   trailing.push_back(0);
-  EXPECT_FALSE(Request::Parse(trailing).ok());
+  EXPECT_FALSE(Request::ParseTagged(trailing).ok());
   // An arg count claiming more entries than the frame could hold.
   std::vector<uint8_t> lying = bytes;
-  lying[5] = 0xff;  // arg count low byte (offset: kind 1 + deadline 4)
-  EXPECT_FALSE(Request::Parse(lying).ok());
+  lying[9] = 0xff;  // arg count low byte (request_id 4 + kind 1 + deadline 4)
+  EXPECT_FALSE(Request::ParseTagged(lying).ok());
 
-  std::vector<uint8_t> resp_bytes = *MakeResponse(Status::Ok()).Serialize();
-  resp_bytes[0] = 0xee;  // out-of-range status code
-  EXPECT_FALSE(Response::Parse(resp_bytes).ok());
+  std::vector<uint8_t> resp_bytes =
+      *MakeResponse(Status::Ok()).SerializeChunk();
+  resp_bytes[5] = 0xee;  // out-of-range status code (request_id 4 + flags 1)
+  EXPECT_FALSE(Response::ParseChunk(resp_bytes).ok());
 }
 
 TEST(ProtocolTest, RequestKindNamesRoundTrip) {
@@ -152,7 +161,7 @@ TEST(WireTest, FrameSurvivesDribbledDelivery) {
   Request request;
   request.kind = RequestKind::kBrowse;
   request.args = {std::string(10000, 'x'), "--strict"};
-  std::vector<uint8_t> body = *request.Serialize();
+  std::vector<uint8_t> body = *request.SerializeTagged();
 
   // Frame bytes trickled a few at a time across many send() calls: the
   // reader's RecvAll must resume across every short read.
@@ -161,7 +170,7 @@ TEST(WireTest, FrameSurvivesDribbledDelivery) {
     const uint32_t size = static_cast<uint32_t>(body.size());
     const uint32_t crc = util::Crc32(body);
     for (int i = 0; i < 4; ++i) {
-      header[i] = static_cast<uint8_t>((kRequestMagic >> (8 * i)) & 0xff);
+      header[i] = static_cast<uint8_t>((kRequestMagicV2 >> (8 * i)) & 0xff);
       header[4 + i] = static_cast<uint8_t>((size >> (8 * i)) & 0xff);
       header[8 + i] = static_cast<uint8_t>((crc >> (8 * i)) & 0xff);
     }
@@ -175,7 +184,7 @@ TEST(WireTest, FrameSurvivesDribbledDelivery) {
   });
 
   util::StatusOr<std::vector<uint8_t>> got =
-      ReadFrame(fds[0], kRequestMagic, kMaxFrameBytes);
+      ReadFrame(fds[0], kRequestMagicV2, kMaxFrameBytes);
   writer.join();
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(*got, body);
@@ -186,10 +195,10 @@ TEST(WireTest, CorruptFrameIsDataLossAndHangupIsUnavailable) {
   int fds[2];
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   std::vector<uint8_t> body = {1, 2, 3, 4};
-  ASSERT_TRUE(WriteFrame(fds[1], kRequestMagic, body, kMaxFrameBytes).ok());
+  ASSERT_TRUE(WriteFrame(fds[1], kRequestMagicV2, body, kMaxFrameBytes).ok());
   // Wrong expected magic -> kDataLoss.
   util::StatusOr<std::vector<uint8_t>> got =
-      ReadFrame(fds[0], kResponseMagic, kMaxFrameBytes);
+      ReadFrame(fds[0], kResponseMagicV2, kMaxFrameBytes);
   EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
   close(fds[0]);
   close(fds[1]);
@@ -198,15 +207,15 @@ TEST(WireTest, CorruptFrameIsDataLossAndHangupIsUnavailable) {
   // mid-frame -> kDataLoss (a torn frame is damage, not a clean goodbye).
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   close(fds[1]);
-  got = ReadFrame(fds[0], kRequestMagic, kMaxFrameBytes);
+  got = ReadFrame(fds[0], kRequestMagicV2, kMaxFrameBytes);
   EXPECT_EQ(got.status().code(), StatusCode::kUnavailable);
   close(fds[0]);
 
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  const uint8_t partial[3] = {0x43, 0x4d, 0x52};  // first bytes of "CMRQ"
+  const uint8_t partial[3] = {0x43, 0x4d, 0x51};  // first bytes of "CMQ2"
   ASSERT_TRUE(SendAll(fds[1], partial, sizeof(partial)).ok());
   close(fds[1]);
-  got = ReadFrame(fds[0], kRequestMagic, kMaxFrameBytes);
+  got = ReadFrame(fds[0], kRequestMagicV2, kMaxFrameBytes);
   EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
   close(fds[0]);
 }
@@ -215,10 +224,10 @@ TEST(WireTest, OversizedFrameRefusedBothSides) {
   int fds[2];
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   std::vector<uint8_t> big(1024);
-  EXPECT_EQ(WriteFrame(fds[1], kRequestMagic, big, 512).code(),
+  EXPECT_EQ(WriteFrame(fds[1], kRequestMagicV2, big, 512).code(),
             StatusCode::kInvalidArgument);
-  ASSERT_TRUE(WriteFrame(fds[1], kRequestMagic, big, 4096).ok());
-  EXPECT_EQ(ReadFrame(fds[0], kRequestMagic, 512).status().code(),
+  ASSERT_TRUE(WriteFrame(fds[1], kRequestMagicV2, big, 4096).ok());
+  EXPECT_EQ(ReadFrame(fds[0], kRequestMagicV2, 512).status().code(),
             StatusCode::kDataLoss);
   close(fds[0]);
   close(fds[1]);
@@ -226,6 +235,8 @@ TEST(WireTest, OversizedFrameRefusedBothSides) {
 
 // ---------------------------------------------------------------------------
 // Server end-to-end
+
+using Session = util::StatusOr<std::unique_ptr<PipelinedClient>>;
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -237,8 +248,8 @@ class ServerTest : public ::testing::Test {
     ASSERT_TRUE(server_->Start().ok());
   }
 
-  util::StatusOr<Client> Connect(const SessionHello& hello) {
-    return Client::Connect("127.0.0.1", server_->port(), hello);
+  Session Connect(const SessionHello& hello) {
+    return PipelinedClient::Connect("127.0.0.1", server_->port(), hello);
   }
 
   std::unique_ptr<ClassMinerServer> server_;
@@ -248,17 +259,12 @@ TEST_F(ServerTest, HelloRequiredBeforeAnyRequest) {
   StartServer();
   util::StatusOr<int> fd = ConnectTo("127.0.0.1", server_->port());
   ASSERT_TRUE(fd.ok());
-  Request request;
-  request.kind = RequestKind::kVerify;
-  request.args = {"whatever.cmdb"};
-  ASSERT_TRUE(
-      WriteFrame(*fd, kRequestMagic, *request.Serialize(), kMaxFrameBytes)
-          .ok());
-  util::StatusOr<std::vector<uint8_t>> frame =
-      ReadFrame(*fd, kResponseMagic, kMaxFrameBytes);
-  ASSERT_TRUE(frame.ok());
-  util::StatusOr<Response> response = Response::Parse(*frame);
+  const std::vector<uint8_t> request =
+      RequestFrame(RequestKind::kVerify, 1, {"whatever.cmdb"});
+  ASSERT_TRUE(SendAll(*fd, request.data(), request.size()).ok());
+  util::StatusOr<Response> response = ReadChunk(*fd);
   ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->request_id, 1u);
   EXPECT_EQ(response->code, StatusCode::kFailedPrecondition);
   CloseFd(*fd);
 }
@@ -280,14 +286,14 @@ TEST_F(ServerTest, PermissionMatrixOverAllRequestKinds) {
       {RequestKind::kRepair, 3, {"absent.cmdb"}},
   };
   for (int clearance = 0; clearance <= 3; ++clearance) {
-    util::StatusOr<Client> client =
+    Session client =
         Connect(MakeHello("matrix", clearance));
     ASSERT_TRUE(client.ok());
     for (const auto& c : kCases) {
       Request request;
       request.kind = c.kind;
       request.args = c.args;
-      util::StatusOr<Response> response = client->Call(request);
+      util::StatusOr<Response> response = (*client)->Call(request);
       ASSERT_TRUE(response.ok()) << RequestKindName(c.kind);
       if (clearance < c.required) {
         EXPECT_EQ(response->code, StatusCode::kPermissionDenied)
@@ -309,10 +315,10 @@ TEST_F(ServerTest, RootDenialDisablesTheAccount) {
   StartServer();
   SessionHello hello = MakeHello("blocked", 3);
   hello.denied_nodes = {0};  // denied the concept root
-  util::StatusOr<Client> client = Connect(hello);
+  Session client = Connect(hello);
   ASSERT_TRUE(client.ok());
   util::StatusOr<std::string> report =
-      client->CallForReport(RequestKind::kBrowse, {cmv});
+      (*client)->CallForReport(RequestKind::kBrowse, {cmv});
   EXPECT_EQ(report.status().code(), StatusCode::kPermissionDenied);
 }
 
@@ -339,7 +345,7 @@ TEST_F(ServerTest, ResponsesByteIdenticalToOpsLayerAcross8Clients) {
   std::atomic<int> mismatches{0};
   for (int i = 0; i < kClients; ++i) {
     threads.emplace_back([&, i] {
-      util::StatusOr<Client> client = Connect(MakeHello("reader", 3));
+      Session client = Connect(MakeHello("reader", 3));
       if (!client.ok()) {
         ++mismatches;
         return;
@@ -358,7 +364,7 @@ TEST_F(ServerTest, ResponsesByteIdenticalToOpsLayerAcross8Clients) {
       for (int j = 0; j < 3; ++j) {
         const auto& call = kCalls[(i + j) % 3];
         util::StatusOr<std::string> got =
-            client->CallForReport(call.kind, call.args);
+            (*client)->CallForReport(call.kind, call.args);
         if (!got.ok() || *got != *call.want) ++mismatches;
       }
     });
@@ -393,18 +399,18 @@ TEST_F(ServerTest, AdmissionControlRejectsPastTheQueueBound) {
   StartServer(std::move(options));
 
   // Request A occupies the worker.
-  util::StatusOr<Client> a = Connect(MakeHello("a", 3));
+  Session a = Connect(MakeHello("a", 3));
   ASSERT_TRUE(a.ok());
   std::thread blocked([&] {
-    (void)a->CallForReport(RequestKind::kSkim, {cmv});
+    (void)(*a)->CallForReport(RequestKind::kSkim, {cmv});
   });
   first_started.get_future().wait();
 
   // Request B fills the queue slot of 1.
-  util::StatusOr<Client> b = Connect(MakeHello("b", 3));
+  Session b = Connect(MakeHello("b", 3));
   ASSERT_TRUE(b.ok());
   std::thread queued([&] {
-    (void)b->CallForReport(RequestKind::kSkim, {cmv});
+    (void)(*b)->CallForReport(RequestKind::kSkim, {cmv});
   });
   // B must be admitted (queued) before C can be rejected deterministically.
   while (server_->StatsSnapshot().requests_admitted < 2) {  // A + B
@@ -412,22 +418,23 @@ TEST_F(ServerTest, AdmissionControlRejectsPastTheQueueBound) {
   }
 
   // Request C finds the queue full -> kUnavailable, immediately.
-  util::StatusOr<Client> c = Connect(MakeHello("c", 3));
+  Session c = Connect(MakeHello("c", 3));
   ASSERT_TRUE(c.ok());
   util::StatusOr<std::string> rejected =
-      c->CallForReport(RequestKind::kSkim, {cmv});
+      (*c)->CallForReport(RequestKind::kSkim, {cmv});
   EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
 
   // kUnavailable is exactly what util::Retry retries: once the worker is
-  // released, the same request goes through.
+  // released, the same request goes through. The backoff must outlast the
+  // two skims ahead of C, which take tens of seconds under ThreadSanitizer.
   release_first.set_value();
   util::RetryOptions retry;
   retry.max_attempts = 50;
   retry.initial_backoff_ms = 5.0;
-  retry.max_backoff_ms = 50.0;
+  retry.max_backoff_ms = 2000.0;
   util::StatusOr<std::string> report = util::RetryOr<std::string>(
       retry, [&]() -> util::StatusOr<std::string> {
-        return c->CallForReport(RequestKind::kSkim, {cmv});
+        return (*c)->CallForReport(RequestKind::kSkim, {cmv});
       });
   EXPECT_TRUE(report.ok()) << report.status().ToString();
 
@@ -458,20 +465,20 @@ TEST_F(ServerTest, DeadlineExpiredInQueueNeverExecutes) {
   };
   StartServer(std::move(options));
 
-  util::StatusOr<Client> a = Connect(MakeHello("a", 3));
+  Session a = Connect(MakeHello("a", 3));
   ASSERT_TRUE(a.ok());
   std::thread blocked([&] {
-    (void)a->CallForReport(RequestKind::kSkim, {cmv});
+    (void)(*a)->CallForReport(RequestKind::kSkim, {cmv});
   });
   first_started.get_future().wait();
 
   // Queued behind the blocked worker with a 1 ms deadline: by the time the
   // worker frees, the deadline has long passed.
-  util::StatusOr<Client> b = Connect(MakeHello("b", 3));
+  Session b = Connect(MakeHello("b", 3));
   ASSERT_TRUE(b.ok());
   std::thread waiter([&] {
     util::StatusOr<std::string> report =
-        b->CallForReport(RequestKind::kSkim, {cmv}, /*deadline_ms=*/1);
+        (*b)->CallForReport(RequestKind::kSkim, {cmv}, /*deadline_ms=*/1);
     EXPECT_EQ(report.status().code(), StatusCode::kDeadlineExceeded);
   });
   while (server_->StatsSnapshot().requests_admitted < 2) {  // A + B
@@ -502,11 +509,11 @@ TEST_F(ServerTest, GracefulStopDrainsInFlightRequests) {
   };
   StartServer(std::move(options));
 
-  util::StatusOr<Client> client = Connect(MakeHello("drain", 3));
+  Session client = Connect(MakeHello("drain", 3));
   ASSERT_TRUE(client.ok());
   util::StatusOr<std::string> report = Status::Internal("never ran");
   std::thread in_flight([&] {
-    report = client->CallForReport(RequestKind::kSkim, {cmv});
+    report = (*client)->CallForReport(RequestKind::kSkim, {cmv});
   });
   started_promise.get_future().wait();
 
@@ -529,21 +536,21 @@ TEST_F(ServerTest, ConnectionCapacityRefusesTheExtraSession) {
   options.max_connections = 1;
   StartServer(std::move(options));
 
-  util::StatusOr<Client> first = Connect(MakeHello("one", 1));
+  Session first = Connect(MakeHello("one", 1));
   ASSERT_TRUE(first.ok());
-  util::StatusOr<Client> second = Connect(MakeHello("two", 1));
+  Session second = Connect(MakeHello("two", 1));
   EXPECT_EQ(second.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(server_->StatsSnapshot().connections_rejected, 1u);
 }
 
 TEST_F(ServerTest, VerifyCarriesItsReportEvenWhenDirty) {
   StartServer();
-  util::StatusOr<Client> client = Connect(MakeHello("admin", 3));
+  Session client = Connect(MakeHello("admin", 3));
   ASSERT_TRUE(client.ok());
   Request request;
   request.kind = RequestKind::kVerify;
   request.args = {::testing::TempDir() + "/no_such.cmdb"};
-  util::StatusOr<Response> response = client->Call(request);
+  util::StatusOr<Response> response = (*client)->Call(request);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->code, StatusCode::kDataLoss);
   // The body is the same report the CLI prints before exiting non-zero.
@@ -553,7 +560,7 @@ TEST_F(ServerTest, VerifyCarriesItsReportEvenWhenDirty) {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol v2: pipelining, streaming, the shared result cache.
+// Pipelining, streaming, the shared result cache.
 
 TEST(ProtocolTest, TaggedRequestAndChunkRoundTrip) {
   Request request;
@@ -569,8 +576,6 @@ TEST(ProtocolTest, TaggedRequestAndChunkRoundTrip) {
   EXPECT_EQ(parsed->request_id, 0xdeadbeefu);
   EXPECT_EQ(parsed->kind, RequestKind::kSkim);
   EXPECT_EQ(parsed->args, request.args);
-  // A v1 parse of a v2 body must fail (the tag is not silently eaten).
-  EXPECT_FALSE(Request::Parse(*bytes).ok());
 
   Response chunk;
   chunk.request_id = 7;
@@ -673,47 +678,11 @@ TEST_F(ServerTest, StreamedPipelinedResponsesReassembleByteIdentical) {
   ASSERT_TRUE(ra->ok()) << ra->message;
   ASSERT_TRUE(rb->ok()) << rb->message;
   // Chunked delivery, interleaved across two in-flight requests on one
-  // session, reassembles to exactly the v1 / ops-layer bytes.
+  // session, reassembles to exactly the ops-layer bytes.
   EXPECT_EQ(ra->body, want_a.report);
   EXPECT_EQ(rb->body, want_b.report);
   const ServerStats stats = server_->StatsSnapshot();
   EXPECT_GE(stats.responses_streamed, 2u);
-}
-
-TEST_F(ServerTest, V1ClientIsServedSeriallyInOrder) {
-  StartServer();
-  util::StatusOr<int> fd = ConnectTo("127.0.0.1", server_->port());
-  ASSERT_TRUE(fd.ok());
-
-  // Hello plus two requests, all on the wire before reading anything: a v1
-  // session must see its responses one per request, in request order.
-  SessionHello hello = MakeHello("serial", 3);
-  Request handshake;
-  handshake.kind = RequestKind::kHello;
-  handshake.args = {*hello.Serialize()};
-  Request first;
-  first.kind = RequestKind::kVerify;
-  first.args = {::testing::TempDir() + "/serial_one.cmdb"};
-  Request second;
-  second.kind = RequestKind::kVerify;
-  second.args = {::testing::TempDir() + "/serial_two.cmdb"};
-  for (const Request* r : {&handshake, &first, &second}) {
-    ASSERT_TRUE(
-        WriteFrame(*fd, kRequestMagic, *r->Serialize(), kMaxFrameBytes).ok());
-  }
-  std::vector<Response> responses;
-  for (int i = 0; i < 3; ++i) {
-    util::StatusOr<std::vector<uint8_t>> frame =
-        ReadFrame(*fd, kResponseMagic, kMaxFrameBytes);
-    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-    util::StatusOr<Response> response = Response::Parse(*frame);
-    ASSERT_TRUE(response.ok());
-    responses.push_back(std::move(*response));
-  }
-  EXPECT_NE(responses[0].body.find("session serial"), std::string::npos);
-  EXPECT_NE(responses[1].body.find("serial_one.cmdb"), std::string::npos);
-  EXPECT_NE(responses[2].body.find("serial_two.cmdb"), std::string::npos);
-  CloseFd(*fd);
 }
 
 TEST_F(ServerTest, SingleFlightCacheRunsTheMiningPipelineOnce) {
@@ -743,14 +712,14 @@ TEST_F(ServerTest, SingleFlightCacheRunsTheMiningPipelineOnce) {
   std::atomic<int> mismatches{0};
   for (int i = 0; i < kSessions; ++i) {
     threads.emplace_back([&, i] {
-      util::StatusOr<Client> client =
+      Session client =
           Connect(MakeHello("joiner" + std::to_string(i), 3));
       if (!client.ok()) {
         ++mismatches;
         return;
       }
       util::StatusOr<std::string> got =
-          client->CallForReport(RequestKind::kMine, {cmv, "--fast"});
+          (*client)->CallForReport(RequestKind::kMine, {cmv, "--fast"});
       if (!got.ok() || *got != want.report) ++mismatches;
     });
   }
@@ -765,10 +734,10 @@ TEST_F(ServerTest, SingleFlightCacheRunsTheMiningPipelineOnce) {
   EXPECT_EQ(mismatches.load(), 0);
 
   // A later identical request answers from the stored entry.
-  util::StatusOr<Client> late = Connect(MakeHello("late", 3));
+  Session late = Connect(MakeHello("late", 3));
   ASSERT_TRUE(late.ok());
   util::StatusOr<std::string> cached =
-      late->CallForReport(RequestKind::kMine, {cmv, "--fast"});
+      (*late)->CallForReport(RequestKind::kMine, {cmv, "--fast"});
   ASSERT_TRUE(cached.ok());
   EXPECT_EQ(*cached, want.report);
 
@@ -870,10 +839,9 @@ TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
                          kMaxFrameBytes)
                   .ok());
   // The hello reply streams in one-byte chunks too; read all of them.
-  uint32_t magic = 0;
   util::StatusOr<std::vector<uint8_t>> frame = util::Status::Internal("unread");
   for (bool final_chunk = false; !final_chunk;) {
-    frame = ReadFrameAny(*fd, {kResponseMagicV2}, kMaxFrameBytes, &magic);
+    frame = ReadFrame(*fd, kResponseMagicV2, kMaxFrameBytes);
     ASSERT_TRUE(frame.ok()) << frame.status().ToString();
     util::StatusOr<Response> chunk = Response::ParseChunk(*frame);
     ASSERT_TRUE(chunk.ok());
@@ -913,7 +881,7 @@ TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
   // Now drain like a healthy reader: the stream completes byte-identical.
   std::string body;
   for (;;) {
-    frame = ReadFrameAny(*fd, {kResponseMagicV2}, kMaxFrameBytes, &magic);
+    frame = ReadFrame(*fd, kResponseMagicV2, kMaxFrameBytes);
     ASSERT_TRUE(frame.ok()) << frame.status().ToString();
     util::StatusOr<Response> chunk = Response::ParseChunk(*frame);
     ASSERT_TRUE(chunk.ok());
@@ -927,6 +895,152 @@ TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
   EXPECT_EQ(body, want.report);
   EXPECT_EQ(server_->StatsSnapshot().requests_ok, 1u);
   CloseFd(*fd);
+}
+
+// Writes `stream` to `fd` without blocking until it is all out or the peer
+// has taken nothing for 300 ms; returns the bytes written.
+size_t WriteUntilStalled(int fd, const std::vector<uint8_t>& stream) {
+  if (!SetNonBlocking(fd, true).ok()) return 0;
+  size_t off = 0;
+  auto last_progress = std::chrono::steady_clock::now();
+  while (off < stream.size() && std::chrono::steady_clock::now() -
+                                        last_progress <
+                                    std::chrono::milliseconds(300)) {
+    util::StatusOr<size_t> n =
+        TrySend(fd, stream.data() + off, stream.size() - off);
+    if (!n.ok()) break;
+    if (*n > 0) {
+      off += *n;
+      last_progress = std::chrono::steady_clock::now();
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  (void)SetNonBlocking(fd, false);
+  return off;
+}
+
+// requests_received once it has not moved for 300 ms.
+uint64_t SettledRequestsReceived(const ClassMinerServer& server) {
+  uint64_t seen = server.StatsSnapshot().requests_received;
+  for (int quiet_ms = 0; quiet_ms < 300; quiet_ms += 10) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const uint64_t now = server.StatsSnapshot().requests_received;
+    if (now != seen) {
+      seen = now;
+      quiet_ms = 0;
+    }
+  }
+  return seen;
+}
+
+TEST_F(ServerTest, SessionThatNeverReadsStopsBeingRead) {
+  std::promise<void> release_promise;
+  std::shared_future<void> release(release_promise.get_future());
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.max_queue = 64;
+  options.max_pipeline = 4;
+  options.max_write_queue_bytes = 1024;
+  options.request_started_hook = [&](RequestKind) { release.wait(); };
+  StartServer(options);
+
+  // Session A floods health requests and never reads its answers. Both
+  // socket buffers are shrunk to the kernel minimum, so the answers the
+  // daemon can park in the kernel are few and countable.
+  util::StatusOr<int> a = ConnectWithTinyReceiveBuffer(server_->port());
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  int daemon_fd = -1;
+  for (int i = 0; i < 500 && daemon_fd < 0; ++i) {
+    daemon_fd = DaemonEndOf(*a);
+    if (daemon_fd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_GE(daemon_fd, 0);
+  const int tiny = 1;
+  ASSERT_EQ(setsockopt(daemon_fd, SOL_SOCKET, SO_SNDBUF, &tiny, sizeof(tiny)),
+            0);
+  int rcvbuf = 0;
+  int sndbuf = 0;
+  socklen_t len = sizeof(rcvbuf);
+  ASSERT_EQ(getsockopt(*a, SOL_SOCKET, SO_RCVBUF, &rcvbuf, &len), 0);
+  len = sizeof(sndbuf);
+  ASSERT_EQ(getsockopt(daemon_fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, &len), 0);
+  // One probe measures a health answer's frame. Later answers are no
+  // shorter: their counters only grow.
+  const std::vector<uint8_t> probe = RequestFrame(RequestKind::kHealth, 1);
+  ASSERT_TRUE(SendAll(*a, probe.data(), probe.size()).ok());
+  util::StatusOr<std::vector<uint8_t>> answer =
+      ReadFrame(*a, kResponseMagicV2, kMaxFrameBytes);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  const size_t answer_bytes = 12 + answer->size();
+
+  constexpr uint32_t kFlood = 2000;
+  std::vector<uint8_t> flood;
+  for (uint32_t id = 2; id < 2 + kFlood; ++id) {
+    const std::vector<uint8_t> frame = RequestFrame(RequestKind::kHealth, id);
+    flood.insert(flood.end(), frame.begin(), frame.end());
+  }
+  const size_t a_sent = WriteUntilStalled(*a, flood);
+  // The session stops being read while max_pipeline requests are
+  // unanswered or its write queue is past its bound. So it holds at most
+  // max_pipeline unanswered requests, a write queue of the bound plus one
+  // answer, and what the two kernel buffers keep.
+  const uint64_t a_bound =
+      1 + options.max_pipeline +
+      (options.max_write_queue_bytes + answer_bytes + rcvbuf + sndbuf) /
+          answer_bytes;
+  const uint64_t a_received = SettledRequestsReceived(*server_);
+  EXPECT_LE(a_received, a_bound);
+
+  // Session B sends mine requests that cannot finish (the only worker is
+  // held), each behind a health request, and never reads.
+  util::StatusOr<int> b = ConnectTo("127.0.0.1", server_->port());
+  ASSERT_TRUE(b.ok());
+  SessionHello hello = MakeHello("pipeliner", 3);
+  const std::vector<uint8_t> hello_frame =
+      RequestFrame(RequestKind::kHello, 1, {*hello.Serialize()});
+  ASSERT_TRUE(SendAll(*b, hello_frame.data(), hello_frame.size()).ok());
+  ASSERT_TRUE(ReadFrame(*b, kResponseMagicV2, kMaxFrameBytes).ok());
+  constexpr uint32_t kPairs = 500;
+  std::vector<uint8_t> pairs;
+  for (uint32_t i = 0; i < kPairs; ++i) {
+    for (const std::vector<uint8_t>& frame :
+         {RequestFrame(RequestKind::kHealth, 2 + 2 * i),
+          RequestFrame(RequestKind::kMine, 3 + 2 * i, {"held.cmv"})}) {
+      pairs.insert(pairs.end(), frame.begin(), frame.end());
+    }
+  }
+  const size_t b_sent = WriteUntilStalled(*b, pairs);
+  // The hello, then one health answered and one mine held per slot of the
+  // pipeline: the daemon stops reading at the max_pipeline-th mine.
+  const uint64_t b_bound = 1 + 2 * options.max_pipeline;
+  EXPECT_LE(SettledRequestsReceived(*server_) - a_received, b_bound);
+
+  // Reading resumes once the peers read and the worker is free: every
+  // request is answered.
+  release_promise.set_value();
+  std::thread rest([&] {
+    EXPECT_TRUE(SendAll(*a, flood.data() + a_sent, flood.size() - a_sent).ok());
+    EXPECT_TRUE(
+        SendAll(*b, pairs.data() + b_sent, pairs.size() - b_sent).ok());
+  });
+  for (uint32_t i = 0; i < kFlood; ++i) {
+    util::StatusOr<std::vector<uint8_t>> frame =
+        ReadFrame(*a, kResponseMagicV2, kMaxFrameBytes);
+    ASSERT_TRUE(frame.ok()) << "health answer " << i << ": "
+                            << frame.status().ToString();
+  }
+  for (uint32_t i = 0; i < 2 * kPairs; ++i) {
+    util::StatusOr<std::vector<uint8_t>> frame =
+        ReadFrame(*b, kResponseMagicV2, kMaxFrameBytes);
+    ASSERT_TRUE(frame.ok()) << "answer " << i << ": "
+                            << frame.status().ToString();
+  }
+  rest.join();
+  EXPECT_EQ(server_->StatsSnapshot().requests_received,
+            1 + kFlood + 1 + 2 * kPairs);
+  CloseFd(*a);
+  CloseFd(*b);
 }
 
 TEST_F(ServerTest, HoldsAThousandIdleConnectionsWithoutReaderThreads) {
@@ -944,6 +1058,9 @@ TEST_F(ServerTest, HoldsAThousandIdleConnectionsWithoutReaderThreads) {
     }
     return -1;
   };
+  // The active session's client reader thread exists before the count.
+  Session active = Connect(MakeHello("worker", 3));
+  ASSERT_TRUE(active.ok()) << active.status().ToString();
   const int threads_before = thread_count();
 
   constexpr int kIdle = 1024;
@@ -955,21 +1072,18 @@ TEST_F(ServerTest, HoldsAThousandIdleConnectionsWithoutReaderThreads) {
                          << fd.status().ToString();
     idle.push_back(*fd);
   }
-  // All idle sessions are registered (accepts are processed before the
-  // active session below is admitted, but give the reactor a moment).
+  // All idle sessions are registered (give the reactor a moment).
   while (server_->StatsSnapshot().connections_active <
-         static_cast<uint64_t>(kIdle)) {
+         static_cast<uint64_t>(kIdle + 1)) {
     std::this_thread::yield();
   }
 
   // The daemon still serves, and holding 1024 open sockets cost zero
   // additional threads — idle connections are file descriptors, not stacks.
-  util::StatusOr<Client> active = Connect(MakeHello("worker", 3));
-  ASSERT_TRUE(active.ok()) << active.status().ToString();
   Request request;
   request.kind = RequestKind::kVerify;
   request.args = {::testing::TempDir() + "/idle_probe.cmdb"};
-  util::StatusOr<Response> response = active->Call(request);
+  util::StatusOr<Response> response = (*active)->Call(request);
   ASSERT_TRUE(response.ok());
 
   const int threads_after = thread_count();
@@ -986,15 +1100,15 @@ TEST_F(ServerTest, MalformedRequestFrameGetsAnErrorResponse) {
   StartServer();
   util::StatusOr<int> fd = ConnectTo("127.0.0.1", server_->port());
   ASSERT_TRUE(fd.ok());
-  // A CRC-valid frame whose body is not a parseable request.
-  std::vector<uint8_t> junk = {0x7f, 0x00};
-  ASSERT_TRUE(WriteFrame(*fd, kRequestMagic, junk, kMaxFrameBytes).ok());
-  util::StatusOr<std::vector<uint8_t>> frame =
-      ReadFrame(*fd, kResponseMagic, kMaxFrameBytes);
-  ASSERT_TRUE(frame.ok());
-  util::StatusOr<Response> response = Response::Parse(*frame);
+  // A CRC-valid frame whose body is not a parseable request: tag 5, then
+  // an unknown kind byte.
+  std::vector<uint8_t> junk = {5, 0, 0, 0, 0x7f, 0x00};
+  ASSERT_TRUE(WriteFrame(*fd, kRequestMagicV2, junk, kMaxFrameBytes).ok());
+  util::StatusOr<Response> response = ReadChunk(*fd);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->code, StatusCode::kInvalidArgument);
+  EXPECT_EQ(response->request_id, 5u);  // the tag survives the damage
+  EXPECT_TRUE(response->final_chunk);
   CloseFd(*fd);
 }
 
@@ -1056,9 +1170,8 @@ TEST_F(ServerTest, DuplicateInFlightRequestIdIsRejected) {
   ASSERT_TRUE(WriteFrame(*fd, kRequestMagicV2, *handshake.SerializeTagged(),
                          kMaxFrameBytes)
                   .ok());
-  uint32_t magic = 0;
   util::StatusOr<std::vector<uint8_t>> frame =
-      ReadFrameAny(*fd, {kResponseMagicV2}, kMaxFrameBytes, &magic);
+      ReadFrame(*fd, kResponseMagicV2, kMaxFrameBytes);
   ASSERT_TRUE(frame.ok());
 
   // Original request under tag 2 is held in the worker...
@@ -1076,7 +1189,7 @@ TEST_F(ServerTest, DuplicateInFlightRequestIdIsRejected) {
   ASSERT_TRUE(WriteFrame(*fd, kRequestMagicV2, *verify.SerializeTagged(),
                          kMaxFrameBytes)
                   .ok());
-  frame = ReadFrameAny(*fd, {kResponseMagicV2}, kMaxFrameBytes, &magic);
+  frame = ReadFrame(*fd, kResponseMagicV2, kMaxFrameBytes);
   ASSERT_TRUE(frame.ok());
   util::StatusOr<Response> rejected = Response::ParseChunk(*frame);
   ASSERT_TRUE(rejected.ok());
@@ -1090,7 +1203,7 @@ TEST_F(ServerTest, DuplicateInFlightRequestIdIsRejected) {
   release_first.set_value();
   std::string body;
   for (;;) {
-    frame = ReadFrameAny(*fd, {kResponseMagicV2}, kMaxFrameBytes, &magic);
+    frame = ReadFrame(*fd, kResponseMagicV2, kMaxFrameBytes);
     ASSERT_TRUE(frame.ok());
     util::StatusOr<Response> chunk = Response::ParseChunk(*frame);
     ASSERT_TRUE(chunk.ok());
@@ -1105,7 +1218,7 @@ TEST_F(ServerTest, DuplicateInFlightRequestIdIsRejected) {
   ASSERT_TRUE(WriteFrame(*fd, kRequestMagicV2, *verify.SerializeTagged(),
                          kMaxFrameBytes)
                   .ok());
-  frame = ReadFrameAny(*fd, {kResponseMagicV2}, kMaxFrameBytes, &magic);
+  frame = ReadFrame(*fd, kResponseMagicV2, kMaxFrameBytes);
   ASSERT_TRUE(frame.ok());
   util::StatusOr<Response> reused = Response::ParseChunk(*frame);
   ASSERT_TRUE(reused.ok());
@@ -1133,11 +1246,11 @@ TEST_F(ServerTest, IdleTimeoutReapsSlowLorisButNotBusySessions) {
 
   // A session with an executing request is busy, not idle — it must
   // survive the reaper even though no bytes move while the worker is held.
-  util::StatusOr<Client> busy = Connect(MakeHello("busy", 3));
+  Session busy = Connect(MakeHello("busy", 3));
   ASSERT_TRUE(busy.ok());
   util::StatusOr<std::string> report = Status::Internal("never ran");
   std::thread in_flight([&] {
-    report = busy->CallForReport(
+    report = (*busy)->CallForReport(
         RequestKind::kVerify, {::testing::TempDir() + "/not_idle.cmdb"});
   });
   started_promise.get_future().wait();
@@ -1174,18 +1287,15 @@ TEST_F(ServerTest, ErrorBudgetClosesSessionsThatKeepSendingGarbage) {
   ASSERT_TRUE(fd.ok());
   // Each junk frame is CRC-valid but unparseable: an inline error answer,
   // charged against the session's budget.
-  const std::vector<uint8_t> junk = {0x7f, 0x00};
+  const std::vector<uint8_t> junk = {1, 0, 0, 0, 0x7f, 0x00};
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(WriteFrame(*fd, kRequestMagic, junk, kMaxFrameBytes).ok());
+    ASSERT_TRUE(WriteFrame(*fd, kRequestMagicV2, junk, kMaxFrameBytes).ok());
   }
   // All three owed error responses still flush before the close.
   for (int i = 0; i < 3; ++i) {
-    util::StatusOr<std::vector<uint8_t>> frame =
-        ReadFrame(*fd, kResponseMagic, kMaxFrameBytes);
-    ASSERT_TRUE(frame.ok()) << "error " << i << ": "
-                            << frame.status().ToString();
-    util::StatusOr<Response> response = Response::Parse(*frame);
-    ASSERT_TRUE(response.ok());
+    util::StatusOr<Response> response = ReadChunk(*fd);
+    ASSERT_TRUE(response.ok()) << "error " << i << ": "
+                               << response.status().ToString();
     EXPECT_EQ(response->code, StatusCode::kInvalidArgument);
   }
   // Past the budget the server hangs up instead of absorbing more abuse.
@@ -1204,7 +1314,7 @@ TEST_F(ServerTest, ErrorBudgetClosesSessionsThatKeepSendingGarbage) {
 TEST_F(ServerTest, HealthAnswersBeforeHelloAtClearanceZero) {
   StartServer();
 
-  // Health needs no hello and no clearance: it must work on a raw v2
+  // Health needs no hello and no clearance: it must work on a raw
   // session as the very first frame (that is what a load balancer probe
   // looks like).
   util::StatusOr<int> fd = ConnectTo("127.0.0.1", server_->port());
@@ -1215,9 +1325,8 @@ TEST_F(ServerTest, HealthAnswersBeforeHelloAtClearanceZero) {
   ASSERT_TRUE(WriteFrame(*fd, kRequestMagicV2, *probe.SerializeTagged(),
                          kMaxFrameBytes)
                   .ok());
-  uint32_t magic = 0;
   util::StatusOr<std::vector<uint8_t>> frame =
-      ReadFrameAny(*fd, {kResponseMagicV2}, kMaxFrameBytes, &magic);
+      ReadFrame(*fd, kResponseMagicV2, kMaxFrameBytes);
   ASSERT_TRUE(frame.ok());
   util::StatusOr<Response> response = Response::ParseChunk(*frame);
   ASSERT_TRUE(response.ok());
@@ -1228,10 +1337,10 @@ TEST_F(ServerTest, HealthAnswersBeforeHelloAtClearanceZero) {
   CloseFd(*fd);
 
   // And through an authenticated clearance-0 session, for completeness.
-  util::StatusOr<Client> probe_client = Connect(MakeHello("probe", 0));
+  Session probe_client = Connect(MakeHello("probe", 0));
   ASSERT_TRUE(probe_client.ok());
   util::StatusOr<std::string> body =
-      probe_client->CallForReport(RequestKind::kHealth, {});
+      (*probe_client)->CallForReport(RequestKind::kHealth, {});
   ASSERT_TRUE(body.ok()) << body.status().ToString();
   EXPECT_NE(body->find("status: serving"), std::string::npos);
 }
@@ -1402,12 +1511,12 @@ TEST_F(ServerTest, BackgroundScrubberHealsWhileServingAndReportsInHealth) {
   StartServer(std::move(options));
 
   // Client traffic in parallel with the scrub: the daemon keeps serving.
-  util::StatusOr<Client> client = Connect(MakeHello("reader", 3));
+  Session client = Connect(MakeHello("reader", 3));
   ASSERT_TRUE(client.ok());
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (server_->StatsSnapshot().scrub_repairs < 1) {
-    util::StatusOr<Response> poke = client->Call([] {
+    util::StatusOr<Response> poke = (*client)->Call([] {
       Request r;
       r.kind = RequestKind::kHealth;
       return r;
@@ -1426,7 +1535,7 @@ TEST_F(ServerTest, BackgroundScrubberHealsWhileServingAndReportsInHealth) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   util::StatusOr<std::string> body =
-      client->CallForReport(RequestKind::kHealth, {});
+      (*client)->CallForReport(RequestKind::kHealth, {});
   ASSERT_TRUE(body.ok());
   EXPECT_NE(body->find("scrub: enabled"), std::string::npos);
   EXPECT_NE(body->find("last scrub: clean"), std::string::npos);
