@@ -63,6 +63,55 @@ void BM_BlockCodeRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockCodeRoundTrip);
 
+// Exp-Golomb decode throughput over a stream of mixed code lengths (the
+// coefficient runs and levels of real payloads are mostly short codes).
+void BM_BitReaderUE(benchmark::State& state) {
+  util::Rng rng(4);
+  codec::BitWriter w;
+  constexpr int kCodes = 4096;
+  for (int i = 0; i < kCodes; ++i) {
+    w.PutUE(static_cast<uint32_t>(rng.UniformInt(0, 1 << rng.UniformInt(0, 12))));
+  }
+  const std::vector<uint8_t> bytes = w.Finish();
+  for (auto _ : state) {
+    codec::BitReader r(bytes);
+    uint32_t sum = 0;
+    for (int i = 0; i < kCodes; ++i) sum += *r.GetUE();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kCodes);
+}
+BENCHMARK(BM_BitReaderUE);
+
+// YCbCr 4:2:0 -> RGB of one 96x72 frame.
+void BM_ToImage(benchmark::State& state) {
+  const media::Video video = BenchVideo(1, 96, 72);
+  const codec::Picture pic = codec::FromImage(video.frame(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(codec::ToImage(pic, 96, 72));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ToImage);
+
+// One frame of a full decode: the picture reconstruction plus its RGB
+// conversion, of the GOP's I-frame or of the P-frame after it.
+void BM_DecodeFrame(benchmark::State& state, bool predicted) {
+  const media::Video video = BenchVideo(2, 96, 72);
+  const codec::CmvFile file = codec::EncodeVideo(video, codec::EncoderOptions());
+  const util::StatusOr<codec::Picture> intra = codec::internal::DecodePicture(
+      file.frames[0], file.width, file.height, file.quality, nullptr);
+  const codec::FrameRecord& rec = file.frames[predicted ? 1 : 0];
+  for (auto _ : state) {
+    util::StatusOr<codec::Picture> pic = codec::internal::DecodePicture(
+        rec, file.width, file.height, file.quality, &*intra);
+    benchmark::DoNotOptimize(codec::ToImage(*pic, file.width, file.height));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_DecodeFrame, I, false);
+BENCHMARK_CAPTURE(BM_DecodeFrame, P, true);
+
 void BM_MotionEstimation(benchmark::State& state) {
   util::Rng rng(3);
   codec::Plane ref = codec::Plane::Make(96, 72);

@@ -13,10 +13,18 @@
 #include "bench/bench_common.h"
 #include "index/hier_index.h"
 #include "index/linear_index.h"
+#include "util/parse.h"
 
 int main(int argc, char** argv) {
   using namespace classminer;
-  const int max_copies = argc > 1 ? std::atoi(argv[1]) : 8;
+  int max_copies = 8;
+  if (argc > 2 ||
+      (argc == 2 && !util::ParseFlag(util::ParseIntArg(argv[1], "max-copies",
+                                                       1, 1 << 16),
+                                     &max_copies))) {
+    std::fprintf(stderr, "usage: sec62_indexing [max-copies]\n");
+    return 2;
+  }
   std::printf("=== Sec. 6.2 reproduction: cluster-based indexing vs linear "
               "scan ===\n");
   const std::vector<bench::MinedVideo> corpus = bench::MineCorpus(1.0);

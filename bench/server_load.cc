@@ -34,6 +34,7 @@
 #include "server/server.h"
 #include "server/wire.h"
 #include "synth/corpus.h"
+#include "util/parse.h"
 #include "util/retry.h"
 
 namespace {
@@ -203,6 +204,14 @@ PhaseResult RunPipelinedPhase(int port, const std::string& cmv, int clients,
 
 }  // namespace
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage: server_load [out.json] [clients] "
+               "[requests-per-client] [--idle-conns N] "
+               "[--pipeline-depth D]\n");
+  return 2;
+}
+
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_server.json";
   int clients = 8;
@@ -212,26 +221,27 @@ int main(int argc, char** argv) {
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool parsed = true;
     if (arg == "--idle-conns" && i + 1 < argc) {
-      idle_conns = std::atoi(argv[++i]);
+      parsed = util::ParseFlag(util::ParseIntArg(argv[++i], "--idle-conns"),
+                               &idle_conns);
     } else if (arg == "--pipeline-depth" && i + 1 < argc) {
-      pipeline_depth = std::atoi(argv[++i]);
+      parsed = util::ParseFlag(
+          util::ParseIntArg(argv[++i], "--pipeline-depth"), &pipeline_depth);
     } else if (positional == 0) {
       out_path = arg;
       ++positional;
     } else if (positional == 1) {
-      clients = std::atoi(arg.c_str());
+      parsed = util::ParseFlag(util::ParseIntArg(arg, "clients", 0), &clients);
       ++positional;
     } else if (positional == 2) {
-      per_client = std::atoi(arg.c_str());
+      parsed = util::ParseFlag(
+          util::ParseIntArg(arg, "requests-per-client", 0), &per_client);
       ++positional;
     } else {
-      std::fprintf(stderr,
-                   "usage: server_load [out.json] [clients] "
-                   "[requests-per-client] [--idle-conns N] "
-                   "[--pipeline-depth D]\n");
-      return 2;
+      parsed = false;
     }
+    if (!parsed) return Usage();
   }
   if (pipeline_depth < 1) pipeline_depth = 1;
   if (idle_conns < 0) idle_conns = 0;

@@ -29,6 +29,13 @@ if [[ "${SKIP_SCALAR:-0}" != "1" ]]; then
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/cmv_pipeline_test
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/audio_test
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/util_test
+  CLASSMINER_DISABLE_SIMD=1 ./build/tests/golden_test \
+    --gtest_filter='*EncodeGolden*:*DecodeGolden*'
+  CLASSMINER_DISABLE_SIMD=1 ./build/tests/mutation_test \
+    --gtest_filter='CmvMutation*'
+  cmake --build build -j --target micro_codec >/dev/null
+  CLASSMINER_DISABLE_SIMD=1 ./build/bench/micro_codec \
+    --benchmark_min_time=0.01 >/dev/null
   cmake --build build -j --target micro_kernels >/dev/null
   CLASSMINER_DISABLE_SIMD=1 ./build/bench/micro_kernels \
     --benchmark_min_time=0.01 >/dev/null
@@ -78,12 +85,16 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake --build build-asan -j --target audio_test >/dev/null
   ./build-asan/tests/audio_test
 
-  echo "== tier-1: protocol mutation + server (ASan) =="
-  # Hostile request/response frames from the seeded mutator, and the
-  # reactor's own suite.
+  echo "== tier-1: protocol + CMV mutation + server (ASan) =="
+  # Hostile request/response frames and CMV containers/payloads from the
+  # seeded mutator, and the reactor's own suite.
   cmake --build build-asan -j --target mutation_test server_test >/dev/null
   ./build-asan/tests/mutation_test
   ./build-asan/tests/server_test
+
+  echo "== tier-1: decode golden digests (ASan; each case encodes its title too) =="
+  cmake --build build-asan -j --target golden_test >/dev/null
+  ./build-asan/tests/golden_test --gtest_filter='*DecodeGolden*'
 
   echo "== tier-1: arena + kernels (ASan, poisoned-on-reset chunks) =="
   # The arena poisons recycled chunks on Reset, so any use-after-reset in

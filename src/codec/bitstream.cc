@@ -35,46 +35,28 @@ std::vector<uint8_t> BitWriter::Finish() {
   return std::move(bytes_);
 }
 
-util::StatusOr<int> BitReader::GetBit() {
-  if (byte_pos_ >= size_) return util::Status::DataLoss("bitstream exhausted");
-  const int bit = (data_[byte_pos_] >> (7 - bit_pos_)) & 1;
-  if (++bit_pos_ == 8) {
-    bit_pos_ = 0;
-    ++byte_pos_;
-  }
-  return bit;
+util::Status BitReader::Exhausted() {
+  pos_ = end_;
+  return util::Status::DataLoss("bitstream exhausted");
 }
 
 util::StatusOr<uint32_t> BitReader::GetBits(int count) {
-  uint32_t v = 0;
-  for (int i = 0; i < count; ++i) {
-    util::StatusOr<int> bit = GetBit();
-    if (!bit.ok()) return bit.status();
-    v = (v << 1) | static_cast<uint32_t>(*bit);
+  if (count <= 0) return 0u;
+  if (static_cast<size_t>(count) > end_ - pos_) return Exhausted();
+  if (count > 32) {
+    pos_ += static_cast<size_t>(count - 32);  // shifted out of the result
+    count = 32;
   }
+  const uint32_t v = static_cast<uint32_t>(Window() >> (64 - count));
+  pos_ += static_cast<size_t>(count);
   return v;
 }
 
-util::StatusOr<uint32_t> BitReader::GetUE() {
-  int zeros = 0;
-  while (true) {
-    util::StatusOr<int> bit = GetBit();
-    if (!bit.ok()) return bit.status();
-    if (*bit == 1) break;
-    if (++zeros > 31) return util::Status::DataLoss("malformed exp-Golomb code");
-  }
-  util::StatusOr<uint32_t> rest = GetBits(zeros);
-  if (!rest.ok()) return rest.status();
-  const uint32_t code = (1u << zeros) | *rest;
-  return code - 1;
-}
-
-util::StatusOr<int32_t> BitReader::GetSE() {
-  util::StatusOr<uint32_t> ue = GetUE();
-  if (!ue.ok()) return ue.status();
-  const uint32_t v = *ue;
-  if (v % 2 == 1) return static_cast<int32_t>((v + 1) / 2);
-  return -static_cast<int32_t>(v / 2);
+util::StatusOr<uint32_t> BitReader::GetLongUE(int zeros) {
+  pos_ += static_cast<size_t>(zeros) + 1;
+  const uint32_t suffix = static_cast<uint32_t>(Window() >> (64 - zeros));
+  pos_ += static_cast<size_t>(zeros);
+  return ((1u << zeros) | suffix) - 1;
 }
 
 }  // namespace classminer::codec

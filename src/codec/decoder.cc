@@ -35,34 +35,15 @@ util::Status DecodeIntraPlane(BitReader* reader, int quality, bool chroma,
       dc_pred = *dc;
       if (dc_only) {
         if (dc_out != nullptr) {
-          const Block deq = Dequantize(q, quality, chroma);
-          dc_out->push_back(deq[0] / kBlockSize + 128.0);
+          const double dc_coef = q[0] * StepSizes(quality, chroma)[0];
+          dc_out->push_back(dc_coef / kBlockSize + 128.0);
         }
         continue;
       }
-      const Block deq = Dequantize(q, quality, chroma);
-      PutBlock(plane, bx, by, InverseDct(deq), /*center=*/true);
+      ReconstructBlock(q, quality, chroma, /*predicted=*/false, bx, by, plane);
     }
   }
   return util::Status::Ok();
-}
-
-// Adds an inverse-DCT residual to the motion-compensated prediction of
-// 8x8 block (bx, by), clipped to `out`'s bounds.
-void AddResidual(const Plane& pred, const Block& residual, int bx, int by,
-                 Plane* out) {
-  for (int y = 0; y < kBlockSize; ++y) {
-    const int yy = by * kBlockSize + y;
-    if (yy >= out->height) break;
-    for (int x = 0; x < kBlockSize; ++x) {
-      const int xx = bx * kBlockSize + x;
-      if (xx >= out->width) break;
-      const double v =
-          pred.at(xx, yy) + residual[static_cast<size_t>(y) * kBlockSize + x];
-      out->set(xx, yy,
-               static_cast<int16_t>(std::lround(std::clamp(v, 0.0, 255.0))));
-    }
-  }
 }
 
 struct PFrameSink {
@@ -74,24 +55,20 @@ struct PFrameSink {
   const media::GrayImage* prev_dc = nullptr;
 };
 
-// Walks a P-frame payload. In full mode reconstructs the picture; in DC
-// mode updates the DC thumbnail with motion-shifted previous DC + residual
-// DC means. Layout must mirror EncodePredicted. `scratch` (null → heap)
-// backs the transient prediction planes in full mode.
+// Walks a P-frame payload. In full mode reconstructs the picture: each
+// macroblock's motion-compensated prediction is written straight into the
+// reconstruction, and its residual blocks are added in place. In DC mode
+// updates the DC thumbnail with motion-shifted previous DC + residual DC
+// means. Layout must mirror EncodePredicted.
 util::Status DecodePredictedFrame(BitReader* reader, int width, int height,
-                                  int quality, PFrameSink* sink,
-                                  std::pmr::memory_resource* scratch =
-                                      nullptr) {
+                                  int quality, PFrameSink* sink) {
   const int mbw = (width + kMacroblockSize - 1) / kMacroblockSize;
   const int mbh = (height + kMacroblockSize - 1) / kMacroblockSize;
   const int cbw = ((width + 1) / 2);
   const int cbh = ((height + 1) / 2);
 
   const bool full = sink->recon != nullptr;
-  Plane pred_y = full ? Plane::Make(width, height, 0, scratch) : Plane();
-  Plane pred_cb = full ? Plane::Make(cbw, cbh, 0, scratch) : Plane();
-  Plane pred_cr = full ? Plane::Make(cbw, cbh, 0, scratch) : Plane();
-
+  const double luma_dc_step = StepSizes(quality, /*chroma=*/false)[0];
   QuantizedBlock q;
   for (int my = 0; my < mbh; ++my) {
     for (int mx = 0; mx < mbw; ++mx) {
@@ -104,11 +81,12 @@ util::Status DecodePredictedFrame(BitReader* reader, int width, int height,
       const int px = mx * kMacroblockSize;
       const int py = my * kMacroblockSize;
       if (full) {
-        MotionCompensate(sink->ref->y, &pred_y, px, py, mv, kMacroblockSize);
+        Picture& recon = *sink->recon;
+        MotionCompensate(sink->ref->y, &recon.y, px, py, mv, kMacroblockSize);
         const MotionVector cmv{mv.dx / 2, mv.dy / 2};
-        MotionCompensate(sink->ref->cb, &pred_cb, px / 2, py / 2, cmv,
+        MotionCompensate(sink->ref->cb, &recon.cb, px / 2, py / 2, cmv,
                          kBlockSize);
-        MotionCompensate(sink->ref->cr, &pred_cr, px / 2, py / 2, cmv,
+        MotionCompensate(sink->ref->cr, &recon.cr, px / 2, py / 2, cmv,
                          kBlockSize);
       }
 
@@ -118,9 +96,9 @@ util::Status DecodePredictedFrame(BitReader* reader, int width, int height,
         if (bx * kBlockSize >= width || by * kBlockSize >= height) continue;
         util::StatusOr<int32_t> dc = DecodeBlock(reader, &q, 0);
         if (!dc.ok()) return dc.status();
-        const Block deq = Dequantize(q, quality, /*chroma=*/false);
         if (full) {
-          AddResidual(pred_y, InverseDct(deq), bx, by, &sink->recon->y);
+          ReconstructBlock(q, quality, /*chroma=*/false, /*predicted=*/true,
+                           bx, by, &sink->recon->y);
         } else if (sink->dc_image != nullptr) {
           // DC-resolution motion compensation: sample the previous DC image
           // at the vector-shifted position (rounded to DC grid).
@@ -132,11 +110,10 @@ util::Status DecodePredictedFrame(BitReader* reader, int width, int height,
               by + static_cast<int>(std::lround(mv.dy / 8.0)), 0,
               prev.height() - 1);
           const double base = prev.at(sx, sy);
-          const double mean = base + deq[0] / kBlockSize;
+          const double mean = base + q[0] * luma_dc_step / kBlockSize;
           if (bx < sink->dc_image->width() && by < sink->dc_image->height()) {
-            sink->dc_image->set(
-                bx, by,
-                static_cast<uint8_t>(std::lround(std::clamp(mean, 0.0, 255.0))));
+            sink->dc_image->set(bx, by,
+                                static_cast<uint8_t>(RoundClamp255(mean)));
           }
         }
       }
@@ -145,9 +122,9 @@ util::Status DecodePredictedFrame(BitReader* reader, int width, int height,
           util::StatusOr<int32_t> dc = DecodeBlock(reader, &q, 0);
           if (!dc.ok()) return dc.status();
           if (full) {
-            const Block deq = Dequantize(q, quality, /*chroma=*/true);
-            AddResidual(c == 0 ? pred_cb : pred_cr, InverseDct(deq), mx, my,
-                        c == 0 ? &sink->recon->cb : &sink->recon->cr);
+            ReconstructBlock(q, quality, /*chroma=*/true, /*predicted=*/true,
+                             mx, my,
+                             c == 0 ? &sink->recon->cb : &sink->recon->cr);
           }
         }
       }
@@ -176,8 +153,7 @@ util::Status DecodeDcFrame(const CmvFile& file, size_t i,
     for (int by = 0; by < dch; ++by) {
       for (int bx = 0; bx < dcw; ++bx) {
         const double v = dcs[static_cast<size_t>(by) * dcw + bx];
-        dc->set(bx, by,
-                static_cast<uint8_t>(std::lround(std::clamp(v, 0.0, 255.0))));
+        dc->set(bx, by, static_cast<uint8_t>(RoundClamp255(v)));
       }
     }
     // Chroma planes still occupy the bitstream; no need to parse them for
@@ -277,7 +253,7 @@ util::StatusOr<Picture> DecodePicture(const FrameRecord& rec, int width,
   sink.recon = &out;
   sink.ref = ref;
   CLASSMINER_RETURN_IF_ERROR(
-      DecodePredictedFrame(&reader, width, height, quality, &sink, scratch));
+      DecodePredictedFrame(&reader, width, height, quality, &sink));
   return out;
 }
 

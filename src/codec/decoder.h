@@ -51,9 +51,9 @@ namespace internal {
 // frames `ref` is ignored; for kPredicted frames `ref` must hold the
 // previous reconstruction at the same dimensions.
 //
-// `scratch` (may be null → heap) backs the returned picture's planes and
-// the transient prediction planes. An arena-backed picture is only valid
-// until the arena resets (see DecodeGopFrames).
+// `scratch` (may be null → heap) backs the returned picture's planes. An
+// arena-backed picture is only valid until the arena resets (see
+// DecodeGopFrames).
 util::StatusOr<Picture> DecodePicture(const FrameRecord& rec, int width,
                                       int height, int quality,
                                       const Picture* ref,

@@ -1,7 +1,6 @@
 #include "codec/encoder.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "codec/bitstream.h"
 #include "codec/motion.h"
@@ -25,52 +24,28 @@ void EncodeIntraPlane(const Plane& plane, int quality, bool chroma,
       const Block freq = ForwardDct(spatial);
       const QuantizedBlock q = Quantize(freq, quality, chroma);
       dc_pred = EncodeBlock(writer, q, dc_pred);
-      const Block deq = Dequantize(q, quality, chroma);
-      PutBlock(recon, bx, by, InverseDct(deq), /*center=*/true);
+      ReconstructBlock(q, quality, chroma, /*predicted=*/false, bx, by, recon);
     }
   }
 }
 
-// Residual block at (bx, by): cur - pred, both uncentered.
-Block ResidualBlock(const Plane& cur, const Plane& pred, int bx, int by) {
-  Block block{};
+// Residual block at (bx, by): cur - pred, both uncentered. `recon` holds
+// the block's motion-compensated prediction; the reconstruction replaces
+// it in place (the block reads only its own footprint).
+void EncodeResidualBlock(const Plane& cur, int bx, int by, int quality,
+                         bool chroma, BitWriter* writer, Plane* recon) {
+  Block residual{};
   for (int y = 0; y < kBlockSize; ++y) {
     const int sy = std::min(by * kBlockSize + y, cur.height - 1);
     for (int x = 0; x < kBlockSize; ++x) {
       const int sx = std::min(bx * kBlockSize + x, cur.width - 1);
-      block[static_cast<size_t>(y) * kBlockSize + x] =
-          static_cast<double>(cur.at(sx, sy)) - pred.at(sx, sy);
+      residual[static_cast<size_t>(y) * kBlockSize + x] =
+          static_cast<double>(cur.at(sx, sy)) - recon->at(sx, sy);
     }
   }
-  return block;
-}
-
-// recon = clamp(pred + residual) over the block footprint.
-void ReconstructResidual(const Plane& pred, const Block& residual, int bx,
-                         int by, Plane* recon) {
-  for (int y = 0; y < kBlockSize; ++y) {
-    const int dy = by * kBlockSize + y;
-    if (dy >= recon->height) break;
-    for (int x = 0; x < kBlockSize; ++x) {
-      const int dx = bx * kBlockSize + x;
-      if (dx >= recon->width) break;
-      const double v =
-          pred.at(dx, dy) + residual[static_cast<size_t>(y) * kBlockSize + x];
-      recon->set(dx, dy,
-                 static_cast<int16_t>(std::lround(std::clamp(v, 0.0, 255.0))));
-    }
-  }
-}
-
-void EncodeResidualBlock(const Plane& cur, const Plane& pred, int bx, int by,
-                         int quality, bool chroma, BitWriter* writer,
-                         Plane* recon) {
-  const Block residual = ResidualBlock(cur, pred, bx, by);
-  const Block freq = ForwardDct(residual);
-  const QuantizedBlock q = Quantize(freq, quality, chroma);
+  const QuantizedBlock q = Quantize(ForwardDct(residual), quality, chroma);
   EncodeBlock(writer, q, /*dc_predictor=*/0);
-  ReconstructResidual(pred, InverseDct(Dequantize(q, quality, chroma)), bx,
-                      by, recon);
+  ReconstructBlock(q, quality, chroma, /*predicted=*/true, bx, by, recon);
 }
 
 }  // namespace
@@ -95,10 +70,6 @@ std::vector<uint8_t> EncodePredicted(const Picture& pic, const Picture& ref,
   recon->cb = Plane::Make(pic.cb.width, pic.cb.height);
   recon->cr = Plane::Make(pic.cr.width, pic.cr.height);
 
-  Plane pred_y = Plane::Make(pic.y.width, pic.y.height);
-  Plane pred_cb = Plane::Make(pic.cb.width, pic.cb.height);
-  Plane pred_cr = Plane::Make(pic.cr.width, pic.cr.height);
-
   BitWriter writer;
   const int mbw = (pic.y.width + kMacroblockSize - 1) / kMacroblockSize;
   const int mbh = (pic.y.height + kMacroblockSize - 1) / kMacroblockSize;
@@ -112,10 +83,10 @@ std::vector<uint8_t> EncodePredicted(const Picture& pic, const Picture& ref,
       writer.PutSE(mv.dx);
       writer.PutSE(mv.dy);
 
-      MotionCompensate(ref.y, &pred_y, px, py, mv, kMacroblockSize);
+      MotionCompensate(ref.y, &recon->y, px, py, mv, kMacroblockSize);
       const MotionVector cmv{mv.dx / 2, mv.dy / 2};
-      MotionCompensate(ref.cb, &pred_cb, px / 2, py / 2, cmv, kBlockSize);
-      MotionCompensate(ref.cr, &pred_cr, px / 2, py / 2, cmv, kBlockSize);
+      MotionCompensate(ref.cb, &recon->cb, px / 2, py / 2, cmv, kBlockSize);
+      MotionCompensate(ref.cr, &recon->cr, px / 2, py / 2, cmv, kBlockSize);
 
       // 4 luma blocks, then cb, then cr.
       for (int sub = 0; sub < 4; ++sub) {
@@ -124,13 +95,13 @@ std::vector<uint8_t> EncodePredicted(const Picture& pic, const Picture& ref,
         if (bx * kBlockSize >= pic.y.width || by * kBlockSize >= pic.y.height) {
           continue;  // partial macroblock at the border
         }
-        EncodeResidualBlock(pic.y, pred_y, bx, by, quality, /*chroma=*/false,
+        EncodeResidualBlock(pic.y, bx, by, quality, /*chroma=*/false,
                             &writer, &recon->y);
       }
       if (mx * kBlockSize < pic.cb.width && my * kBlockSize < pic.cb.height) {
-        EncodeResidualBlock(pic.cb, pred_cb, mx, my, quality, /*chroma=*/true,
+        EncodeResidualBlock(pic.cb, mx, my, quality, /*chroma=*/true,
                             &writer, &recon->cb);
-        EncodeResidualBlock(pic.cr, pred_cr, mx, my, quality, /*chroma=*/true,
+        EncodeResidualBlock(pic.cr, mx, my, quality, /*chroma=*/true,
                             &writer, &recon->cr);
       }
     }

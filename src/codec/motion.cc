@@ -77,13 +77,30 @@ MotionVector EstimateMotion(const Plane& cur, const Plane& ref, int mx,
 
 void MotionCompensate(const Plane& ref, Plane* pred, int mx, int my,
                       MotionVector mv, int block_size) {
-  for (int y = 0; y < block_size; ++y) {
-    const int py = my + y;
-    if (py >= pred->height) break;
-    for (int x = 0; x < block_size; ++x) {
-      const int px = mx + x;
-      if (px >= pred->width) break;
-      pred->set(px, py, SampleClamped(ref, px + mv.dx, py + mv.dy));
+  const int cols = std::min(block_size, pred->width - mx);
+  const int rows = std::min(block_size, pred->height - my);
+  if (cols <= 0 || rows <= 0) return;
+  // 64-bit source coordinates: a hostile vector must not overflow them.
+  const int64_t sx = int64_t{mx} + mv.dx;
+  const int64_t sy = int64_t{my} + mv.dy;
+  int16_t* dst = &pred->samples[static_cast<size_t>(my) * pred->width + mx];
+  if (sx >= 0 && sy >= 0 && sx + cols <= ref.width && sy + rows <= ref.height) {
+    // Interior source block: whole rows, no clamping.
+    const int16_t* src =
+        &ref.samples[static_cast<size_t>(sy) * ref.width +
+                     static_cast<size_t>(sx)];
+    for (int y = 0; y < rows; ++y) {
+      std::copy_n(src + static_cast<size_t>(y) * ref.width, cols,
+                  dst + static_cast<size_t>(y) * pred->width);
+    }
+    return;
+  }
+  for (int y = 0; y < rows; ++y) {
+    const int64_t ry = std::clamp<int64_t>(sy + y, 0, ref.height - 1);
+    for (int x = 0; x < cols; ++x) {
+      const int64_t rx = std::clamp<int64_t>(sx + x, 0, ref.width - 1);
+      dst[static_cast<size_t>(y) * pred->width + x] =
+          ref.at(static_cast<int>(rx), static_cast<int>(ry));
     }
   }
 }

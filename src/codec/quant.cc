@@ -17,10 +17,29 @@ constexpr int kBaseMatrix[kBlockPixels] = {
     49, 64, 78, 87, 103, 121, 120, 101,  //
     72, 92, 95, 98, 112, 100, 103, 99};
 
-double StepSize(int index, int quality, bool chroma) {
+constexpr int kTabledQualities = 31;
+
+StepTable MakeSteps(int quality, bool chroma) {
   const double scale = std::max(1, quality) / 8.0;
   const double chroma_boost = chroma ? 1.4 : 1.0;
-  return std::max(1.0, kBaseMatrix[index] * scale * chroma_boost);
+  StepTable steps;
+  for (int i = 0; i < kBlockPixels; ++i) {
+    steps[static_cast<size_t>(i)] =
+        std::max(1.0, kBaseMatrix[i] * scale * chroma_boost);
+  }
+  return steps;
+}
+
+// [quality - 1][chroma] for qualities 1..31.
+using StepTables = std::array<std::array<StepTable, 2>, kTabledQualities>;
+
+StepTables MakeStepTables() {
+  StepTables tables;
+  for (int q = 1; q <= kTabledQualities; ++q) {
+    tables[static_cast<size_t>(q - 1)] = {MakeSteps(q, false),
+                                          MakeSteps(q, true)};
+  }
+  return tables;
 }
 
 std::array<int, kBlockPixels> BuildZigzag() {
@@ -45,27 +64,54 @@ std::array<int, kBlockPixels> BuildZigzag() {
 
 }  // namespace
 
+const StepTable& StepSizes(int quality, bool chroma) {
+  static const StepTables tables = MakeStepTables();
+  // Every quality below 1 scales like 1.
+  const int row = std::max(1, quality);
+  if (row <= kTabledQualities) {
+    return tables[static_cast<size_t>(row - 1)][chroma ? 1 : 0];
+  }
+  thread_local int cached_quality = 0;
+  thread_local bool cached_chroma = false;
+  thread_local StepTable cached;
+  if (cached_quality != row || cached_chroma != chroma) {
+    cached = MakeSteps(row, chroma);
+    cached_quality = row;
+    cached_chroma = chroma;
+  }
+  return cached;
+}
+
 const std::array<int, kBlockPixels>& ZigzagOrder() {
   static const std::array<int, kBlockPixels> order = BuildZigzag();
   return order;
 }
 
 QuantizedBlock Quantize(const Block& freq, int quality, bool chroma) {
-  QuantizedBlock q{};
-  for (int i = 0; i < kBlockPixels; ++i) {
-    q[static_cast<size_t>(i)] = static_cast<int32_t>(
-        std::lround(freq[static_cast<size_t>(i)] / StepSize(i, quality, chroma)));
+  const StepTable& steps = StepSizes(quality, chroma);
+  QuantizedBlock q;
+  for (size_t i = 0; i < kBlockPixels; ++i) {
+    q[i] = static_cast<int32_t>(std::lround(freq[i] / steps[i]));
   }
   return q;
 }
 
 Block Dequantize(const QuantizedBlock& q, int quality, bool chroma) {
-  Block freq{};
-  for (int i = 0; i < kBlockPixels; ++i) {
-    freq[static_cast<size_t>(i)] =
-        q[static_cast<size_t>(i)] * StepSize(i, quality, chroma);
-  }
+  const StepTable& steps = StepSizes(quality, chroma);
+  Block freq;
+  for (size_t i = 0; i < kBlockPixels; ++i) freq[i] = q[i] * steps[i];
   return freq;
+}
+
+void ReconstructBlock(const QuantizedBlock& q, int quality, bool chroma,
+                      bool predicted, int bx, int by, Plane* out) {
+  int32_t coded = 0;
+  for (int32_t level : q) coded |= level;
+  // Prediction samples are integers in [0, 255], so adding a +0.0
+  // residual and rounding gives each one back.
+  if (coded == 0 && predicted) return;
+  AddResidual(InverseDct(Dequantize(q, quality, chroma)), predicted, bx, by,
+              out);
 }
 
 int32_t EncodeBlock(BitWriter* writer, const QuantizedBlock& q,
@@ -97,7 +143,9 @@ util::StatusOr<int32_t> DecodeBlock(BitReader* reader, QuantizedBlock* q,
 
   util::StatusOr<int32_t> dc_delta = reader->GetSE();
   if (!dc_delta.ok()) return dc_delta.status();
-  const int32_t dc = dc_predictor + *dc_delta;
+  // Wrapping add: a hostile delta must not overflow a signed int.
+  const int32_t dc = static_cast<int32_t>(static_cast<uint32_t>(dc_predictor) +
+                                          static_cast<uint32_t>(*dc_delta));
   (*q)[0] = dc;
 
   int pos = 1;
@@ -109,10 +157,10 @@ util::StatusOr<int32_t> DecodeBlock(BitReader* reader, QuantizedBlock* q,
     if (!run.ok()) return run.status();
     util::StatusOr<int32_t> level = reader->GetSE();
     if (!level.ok()) return level.status();
-    pos += static_cast<int>(*run);
-    if (pos >= kBlockPixels) {
+    if (*run >= static_cast<uint32_t>(kBlockPixels - pos)) {
       return util::Status::DataLoss("AC run exceeds block size");
     }
+    pos += static_cast<int>(*run);
     (*q)[static_cast<size_t>(zz[static_cast<size_t>(pos)])] = *level;
     ++pos;
   }

@@ -1,5 +1,7 @@
 #include "media/image.h"
 
+#include <utility>
+
 namespace classminer::media {
 
 Image::Image(int width, int height, Rgb fill)
@@ -7,6 +9,11 @@ Image::Image(int width, int height, Rgb fill)
       height_(height > 0 ? height : 0),
       pixels_(static_cast<size_t>(width_) * static_cast<size_t>(height_),
               fill) {}
+
+Image::Image(int width, int height, std::vector<Rgb> pixels)
+    : width_(width > 0 ? width : 0),
+      height_(height > 0 ? height : 0),
+      pixels_(std::move(pixels)) {}
 
 Image Image::Resized(int new_width, int new_height) const {
   if (new_width <= 0 || new_height <= 0 || empty()) return Image();

@@ -22,6 +22,9 @@ class Image {
  public:
   Image() : width_(0), height_(0) {}
   Image(int width, int height, Rgb fill = Rgb{0, 0, 0});
+  // Adopts `pixels` (row-major, width * height of them) with no fill pass,
+  // for producers that write every pixel anyway.
+  Image(int width, int height, std::vector<Rgb> pixels);
 
   int width() const { return width_; }
   int height() const { return height_; }

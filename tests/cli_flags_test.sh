@@ -3,11 +3,14 @@
 # parse error and the usage and exit 2 — never abort on an uncaught
 # exception (exit 134) or fall back to a default (an ephemeral port, seed 0).
 #
-#   tests/cli_flags_test.sh <classminer> <classminerd> <classminer-client>
+#   tests/cli_flags_test.sh <classminer> <classminerd> <classminer-client> \
+#     <server_load> <sec62_indexing>
 set -u
 cli=$1
 daemon=$2
 client=$3
+server_load=$4
+sec62=$5
 failures=0
 
 # expect_usage <expected stderr fragment> <command...>
@@ -37,6 +40,11 @@ expect_usage "bad --cache-bytes '-5'" "$daemon" --cache-bytes -5
 expect_usage "bad every:N 'x'" "$daemon" --chaos server.accept.reset=every:x
 expect_usage "bad --port 'abc'" "$client" --port abc health
 expect_usage "bad --deny 'node'" "$client" --port 1 --deny node health
+expect_usage "bad --idle-conns 'abc'" "$server_load" out.json 0 0 --idle-conns abc
+expect_usage "bad --pipeline-depth 'xyz'" "$server_load" out.json 0 0 --pipeline-depth xyz
+expect_usage "bad clients 'many'" "$server_load" out.json many
+expect_usage "bad requests-per-client '8x'" "$server_load" out.json 2 8x
+expect_usage "bad max-copies 'lots'" "$sec62" lots
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures case(s) failed"

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 
 #include "codec/bitstream.h"
 #include "codec/container.h"
@@ -18,6 +19,7 @@
 #include "media/color.h"
 #include "media/draw.h"
 #include "util/arena.h"
+#include "util/cpu.h"
 #include "util/exec_context.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
@@ -136,6 +138,127 @@ TEST(BitstreamTest, ExhaustionIsError) {
   EXPECT_FALSE(r.GetBit().ok());
 }
 
+// The bit-at-a-time reader the word reader replaced: every read, value
+// and failure (status and bits consumed) must come out the same.
+class ReferenceBitReader {
+ public:
+  explicit ReferenceBitReader(const std::vector<uint8_t>& bytes)
+      : bytes_(bytes) {}
+
+  util::StatusOr<int> GetBit() {
+    if (byte_pos_ >= bytes_.size()) {
+      return util::Status::DataLoss("bitstream exhausted");
+    }
+    const int bit = (bytes_[byte_pos_] >> (7 - bit_pos_)) & 1;
+    if (++bit_pos_ == 8) {
+      bit_pos_ = 0;
+      ++byte_pos_;
+    }
+    return bit;
+  }
+  util::StatusOr<uint32_t> GetBits(int count) {
+    uint32_t v = 0;
+    for (int i = 0; i < count; ++i) {
+      util::StatusOr<int> bit = GetBit();
+      if (!bit.ok()) return bit.status();
+      v = (v << 1) | static_cast<uint32_t>(*bit);
+    }
+    return v;
+  }
+  util::StatusOr<uint32_t> GetUE() {
+    int zeros = 0;
+    while (true) {
+      util::StatusOr<int> bit = GetBit();
+      if (!bit.ok()) return bit.status();
+      if (*bit == 1) break;
+      if (++zeros > 31) {
+        return util::Status::DataLoss("malformed exp-Golomb code");
+      }
+    }
+    util::StatusOr<uint32_t> rest = GetBits(zeros);
+    if (!rest.ok()) return rest.status();
+    return ((1u << zeros) | *rest) - 1;
+  }
+  util::StatusOr<int32_t> GetSE() {
+    util::StatusOr<uint32_t> ue = GetUE();
+    if (!ue.ok()) return ue.status();
+    const uint32_t v = *ue;
+    if (v % 2 == 1) return static_cast<int32_t>((v + 1) / 2);
+    return -static_cast<int32_t>(v / 2);
+  }
+  size_t bits_consumed() const { return byte_pos_ * 8 + bit_pos_; }
+
+ private:
+  const std::vector<uint8_t>& bytes_;
+  size_t byte_pos_ = 0;
+  int bit_pos_ = 0;
+};
+
+// Renders a read's outcome for comparison: value or status.
+template <typename T>
+std::string Outcome(const util::StatusOr<T>& r) {
+  return r.ok() ? std::to_string(*r) : r.status().ToString();
+}
+
+TEST(BitstreamTest, WordReaderMatchesBitAtATimeReference) {
+  util::Rng rng(0xB17);
+  for (int trial = 0; trial < 4000; ++trial) {
+    // Zero-heavy bytes make long prefixes, 32-zero runs and tails.
+    std::vector<uint8_t> bytes(static_cast<size_t>(rng.UniformInt(0, 24)));
+    const int zero_odds = rng.UniformInt(0, 9);
+    for (uint8_t& b : bytes) {
+      b = rng.UniformInt(0, 9) < zero_odds
+              ? 0
+              : static_cast<uint8_t>(rng.UniformInt(0, 255));
+    }
+    BitReader got(bytes);
+    ReferenceBitReader want(bytes);
+    for (int op = 0; op < 40; ++op) {
+      const int kind = rng.UniformInt(0, 3);
+      std::string g, w;
+      if (kind == 0) {
+        g = Outcome(got.GetBit());
+        w = Outcome(want.GetBit());
+      } else if (kind == 1) {
+        const int count = rng.UniformInt(-1, 40);
+        g = Outcome(got.GetBits(count));
+        w = Outcome(want.GetBits(count));
+      } else if (kind == 2) {
+        g = Outcome(got.GetUE());
+        w = Outcome(want.GetUE());
+      } else {
+        g = Outcome(got.GetSE());
+        w = Outcome(want.GetSE());
+      }
+      ASSERT_EQ(g, w) << "trial " << trial << " op " << op << " kind "
+                      << kind;
+      ASSERT_EQ(got.bits_consumed(), want.bits_consumed())
+          << "trial " << trial << " op " << op << " kind " << kind;
+      ASSERT_EQ(got.exhausted(), want.bits_consumed() >= bytes.size() * 8);
+    }
+  }
+}
+
+TEST(BitstreamTest, LongCodesAtEveryBitOffset) {
+  // Codes of every length, each preceded by 0..7 filler bits, so every
+  // prefix length meets every window alignment.
+  for (int shift = 0; shift < 8; ++shift) {
+    BitWriter w;
+    w.PutBits(0, shift);
+    std::vector<uint32_t> values;
+    for (int bits = 0; bits < 32; ++bits) {
+      values.push_back((1u << bits) - 1);
+      values.push_back((1u << bits) + (1u << bits) / 3);
+    }
+    values.push_back(0xfffffffeu);  // the longest code: 31 zeros
+    for (uint32_t v : values) w.PutUE(v);
+    const std::vector<uint8_t> bytes = w.Finish();
+    BitReader r(bytes);
+    ASSERT_EQ(*r.GetBits(shift), 0u);
+    for (uint32_t v : values) ASSERT_EQ(*r.GetUE(), v) << "shift " << shift;
+  }
+}
+
 TEST(DctTest, RoundTripRandomBlock) {
   util::Rng rng(11);
   Block b{};
@@ -212,6 +335,93 @@ TEST(QuantTest, BlockCodingRoundTrip) {
   EXPECT_EQ(back, q);
 }
 
+// Quality 8 scales the base matrix by 1, so its luma steps are the matrix.
+TEST(QuantTest, StepTablesMatchTheStepFormula) {
+  const StepTable& base = StepSizes(8, false);
+  for (int quality = -3; quality <= 70; ++quality) {
+    for (bool chroma : {false, true}) {
+      const StepTable& steps = StepSizes(quality, chroma);
+      for (size_t i = 0; i < kBlockPixels; ++i) {
+        const double want = std::max(
+            1.0, base[i] * (std::max(1, quality) / 8.0) * (chroma ? 1.4 : 1.0));
+        ASSERT_EQ(steps[i], want) << "quality " << quality << " coeff " << i;
+      }
+    }
+  }
+}
+
+// The inverse DCT as two dense passes, every product summed.
+Block DenseInverseDct(const Block& freq) {
+  const auto& t = internal::Tables().basis;
+  Block tmp{};
+  for (int u = 0; u < kBlockSize; ++u) {
+    for (int y = 0; y < kBlockSize; ++y) {
+      double acc = 0.0;
+      for (int v = 0; v < kBlockSize; ++v) acc += freq[v * 8 + u] * t[v][y];
+      tmp[y * 8 + u] = acc;
+    }
+  }
+  Block out{};
+  for (int y = 0; y < kBlockSize; ++y) {
+    for (int x = 0; x < kBlockSize; ++x) {
+      double acc = 0.0;
+      for (int u = 0; u < kBlockSize; ++u) acc += tmp[y * 8 + u] * t[u][x];
+      out[y * 8 + x] = acc;
+    }
+  }
+  return out;
+}
+
+// ReconstructBlock against the full transform and the libm rounding it
+// replaced, for zero, DC-only, sparse and dense blocks, intra and
+// predicted (in place), clipped at the plane edge, at every level.
+TEST(QuantTest, ReconstructBlockMatchesTheFullTransform) {
+  util::Rng rng(0x5EC);
+  const int qualities[] = {1, 8, 31, 45, -2};
+  for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+    util::SetDispatchLevelForTest(level);
+    for (int trial = 0; trial < 400; ++trial) {
+      const int quality = qualities[trial % 5];
+      const bool chroma = trial % 3 == 0;
+      const int pattern = trial % 4;  // zero, DC-only, sparse, dense
+      QuantizedBlock q{};
+      if (pattern >= 1) {
+        q[0] = trial % 40 == 1 ? 2147483647 : rng.UniformInt(-400, 400);
+      }
+      for (int i = 1; i < kBlockPixels; ++i) {
+        const int odds = pattern == 2 ? 8 : pattern == 3 ? 100 : 0;
+        if (rng.UniformInt(0, 99) < odds) q[i] = rng.UniformInt(-60, 60);
+      }
+      // A predicted block starts from its prediction; an intra block's
+      // samples are all overwritten.
+      const bool predicted = trial % 2 == 1;
+      Plane got = Plane::Make(13, 11, -7);
+      if (predicted) {
+        for (int16_t& s : got.samples) {
+          s = static_cast<int16_t>(rng.UniformInt(0, 255));
+        }
+      }
+      const int bx = rng.UniformInt(0, 1);
+      const int by = rng.UniformInt(0, 1);
+      Plane want = got;
+      const Block residual = DenseInverseDct(Dequantize(q, quality, chroma));
+      for (int y = 0; y < kBlockSize && by * 8 + y < 11; ++y) {
+        for (int x = 0; x < kBlockSize && bx * 8 + x < 13; ++x) {
+          const double base =
+              predicted ? want.at(bx * 8 + x, by * 8 + y) : 128.0;
+          const double v = base + residual[static_cast<size_t>(y) * 8 + x];
+          want.set(bx * 8 + x, by * 8 + y,
+                   static_cast<int16_t>(std::lround(std::clamp(v, 0.0, 255.0))));
+        }
+      }
+      ReconstructBlock(q, quality, chroma, predicted, bx, by, &got);
+      ASSERT_EQ(got.samples, want.samples)
+          << "trial " << trial << " at " << util::DispatchLevelName(level);
+    }
+    util::ClearDispatchLevelForTest();
+  }
+}
+
 TEST(MotionTest, FindsKnownShift) {
   Plane ref = Plane::Make(48, 48);
   util::Rng rng(15);
@@ -228,6 +438,41 @@ TEST(MotionTest, FindsKnownShift) {
   const MotionVector mv = EstimateMotion(cur, ref, 16, 16, 7);
   EXPECT_EQ(mv.dx, -3);
   EXPECT_EQ(mv.dy, 2);
+}
+
+// Motion compensation against the per-sample clamped copy, with vectors
+// that leave the plane, straddle its edges or would overflow an int.
+TEST(MotionTest, CompensateMatchesClampedReference) {
+  util::Rng rng(0x3C);
+  const Plane ref = [&] {
+    Plane p = Plane::Make(37, 29);
+    for (int16_t& s : p.samples) s = static_cast<int16_t>(rng.UniformInt(0, 255));
+    return p;
+  }();
+  const int extremes[] = {0, 1, -1, 40, -40, 2147483647, -2147483647};
+  for (int trial = 0; trial < 600; ++trial) {
+    const int block = trial % 2 == 0 ? kMacroblockSize : kBlockSize;
+    const int mx = block * rng.UniformInt(0, ref.width / block);
+    const int my = block * rng.UniformInt(0, ref.height / block);
+    const MotionVector mv =
+        trial % 5 == 0
+            ? MotionVector{extremes[rng.UniformInt(0, 6)],
+                           extremes[rng.UniformInt(0, 6)]}
+            : MotionVector{rng.UniformInt(-24, 24), rng.UniformInt(-24, 24)};
+    Plane got = Plane::Make(ref.width, ref.height, -7);
+    Plane want = got;
+    MotionCompensate(ref, &got, mx, my, mv, block);
+    for (int y = my; y < std::min(my + block, want.height); ++y) {
+      for (int x = mx; x < std::min(mx + block, want.width); ++x) {
+        const int64_t sx = std::clamp<int64_t>(int64_t{x} + mv.dx, 0, 36);
+        const int64_t sy = std::clamp<int64_t>(int64_t{y} + mv.dy, 0, 28);
+        want.set(x, y, ref.at(static_cast<int>(sx), static_cast<int>(sy)));
+      }
+    }
+    ASSERT_EQ(got.samples, want.samples)
+        << "at (" << mx << ", " << my << ") mv (" << mv.dx << ", " << mv.dy
+        << ") block " << block;
+  }
 }
 
 TEST(MotionTest, ZeroMotionForIdentical) {

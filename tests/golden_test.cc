@@ -9,17 +9,27 @@
 // 64-byte chunks, must reassemble to the same digests. A change that means
 // to move mining output re-records the table from the failure messages and
 // says why.
+//
+// Below the reports sits the codec: the container bytes the encoder writes
+// for each title, every pixel DecodeVideo returns, and the DC series plus
+// salvage notes of DecodeDcImagesSalvage, on the clean container and on a
+// copy with damaged frame payloads, at pool widths 1 and 4 and every
+// dispatch level.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <future>
+#include <iomanip>
 #include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "codec/container.h"
+#include "codec/decoder.h"
+#include "codec/gop_reader.h"
 #include "core/cmv_pipeline.h"
 #include "server/client.h"
 #include "server/ops.h"
@@ -27,6 +37,9 @@
 #include "synth/corpus.h"
 #include "util/cpu.h"
 #include "util/crc32.h"
+#include "util/exec_context.h"
+#include "util/salvage.h"
+#include "util/threadpool.h"
 
 namespace classminer {
 namespace {
@@ -92,24 +105,37 @@ class ScopedDispatchLevel {
   ~ScopedDispatchLevel() { util::ClearDispatchLevelForTest(); }
 };
 
-// Writes the container `classminer generate --title <title>` would write.
-std::string WriteTitle(const GoldenMine& golden) {
+// The video and audio `classminer generate --title <title>` would encode,
+// at the corpus frame size unless `width`/`height` are given.
+synth::GeneratedVideo GenerateTitle(const char* title, bool degraded,
+                                    int width = 0, int height = 0) {
   synth::CorpusOptions options;
   options.seed = 11;
-  options.degraded = golden.degraded;
+  options.degraded = degraded;
+  if (width > 0) options.width = width;
+  if (height > 0) options.height = height;
   for (const synth::VideoScript& script :
        synth::MedicalCorpusScripts(options)) {
-    if (script.name != golden.title) continue;
-    const std::string path = ::testing::TempDir() + "/golden_" +
-                             script.name +
-                             (golden.degraded ? "_degraded" : "") + ".cmv";
-    const codec::CmvFile file =
-        core::PackGeneratedVideo(synth::GenerateVideo(script));
-    EXPECT_TRUE(file.SaveToFile(path).ok());
-    return path;
+    if (script.name == title) return synth::GenerateVideo(script);
   }
-  ADD_FAILURE() << "no corpus title " << golden.title;
-  return "";
+  ADD_FAILURE() << "no corpus title " << title;
+  return synth::GeneratedVideo();
+}
+
+codec::CmvFile EncodeTitle(const char* title, bool degraded, int width = 0,
+                           int height = 0) {
+  return core::PackGeneratedVideo(
+      GenerateTitle(title, degraded, width, height));
+}
+
+// Writes the container `classminer generate --title <title>` would write.
+std::string WriteTitle(const GoldenMine& golden) {
+  const codec::CmvFile file = EncodeTitle(golden.title, golden.degraded);
+  if (file.frames.empty()) return "";
+  const std::string path = ::testing::TempDir() + "/golden_" + golden.title +
+                           (golden.degraded ? "_degraded" : "") + ".cmv";
+  EXPECT_TRUE(file.SaveToFile(path).ok());
+  return path;
 }
 
 class MineGoldenTest : public ::testing::TestWithParam<size_t> {};
@@ -191,6 +217,191 @@ INSTANTIATE_TEST_SUITE_P(CorpusTitles, MineGoldenTest,
 INSTANTIATE_TEST_SUITE_P(CorpusTitles, ServeGoldenTest,
                          ::testing::Range<size_t>(0, std::size(kGoldenMine)),
                          TitleName);
+
+// Codec digests, one row per container: the five titles clean and
+// degraded, plus one title at an odd frame size so partial blocks,
+// partial macroblocks and odd chroma edges are covered.
+struct GoldenCodec {
+  const char* title;
+  bool degraded;
+  int width;  // 0: the corpus size
+  int height;
+  uint32_t encoded;  // CmvFile::Serialize() of the encoded title
+  uint32_t decoded;  // DecodeVideo: status, then every frame's pixels
+  uint32_t dc;       // DecodeDcImagesSalvage: status, DC images, notes
+  uint32_t damaged_decoded;  // DecodeVideo, then each GopReader::DecodeGop
+  uint32_t damaged_dc;       // DecodeDcImagesSalvage of the damaged copy
+};
+
+constexpr GoldenCodec kGoldenCodec[] = {
+    {"face_repair", false, 0, 0, 0x637c9670,
+     0x8601518a, 0x8e956b7f, 0x668405fc, 0x80447ab0},
+    {"nuclear_medicine", false, 0, 0, 0x29b39c9a,
+     0x4b7771ee, 0xbb9443e0, 0x1ef8aa88, 0x51e33dc6},
+    {"laparoscopy", false, 0, 0, 0x042624a2,
+     0xed82f89f, 0xb2f68d5d, 0xc96d1c95, 0x216b2aec},
+    {"skin_examination", false, 0, 0, 0xc25e2972,
+     0x4524d22e, 0x82b010d1, 0x960b735c, 0xc6697887},
+    {"laser_eye_surgery", false, 0, 0, 0x9a180026,
+     0xc88bf59b, 0xd2bc3dd7, 0x39bdaf0c, 0x4e57c0e1},
+    {"face_repair", true, 0, 0, 0xd38182ee,
+     0xe89679a8, 0xdcb9c472, 0x47f785ae, 0xba4076e0},
+    {"nuclear_medicine", true, 0, 0, 0x82d67d8b,
+     0x122db4ac, 0x5ebfff79, 0x021cd74f, 0x8cdcd549},
+    {"laparoscopy", true, 0, 0, 0x4feb1b4e,
+     0xebfff465, 0x20e25bc1, 0xb1fedb1e, 0x619d7a2a},
+    {"skin_examination", true, 0, 0, 0xe28e84f5,
+     0x90d48efb, 0x30754358, 0x97734f55, 0x8bf8edd3},
+    {"laser_eye_surgery", true, 0, 0, 0x4c663af4,
+     0x69018ac3, 0xc4cd15f2, 0x0fcefe21, 0xb3f86dea},
+    {"laparoscopy", false, 45, 31, 0xa2a58ff1,
+     0x687cf29d, 0xdc3203d6, 0xdb9afe41, 0x8c37a850},
+};
+
+static_assert(sizeof(media::Rgb) == 3);
+
+uint32_t AddStatus(uint32_t crc, const util::Status& status) {
+  const uint8_t code = static_cast<uint8_t>(status.code());
+  crc = util::Crc32(&code, 1, crc);
+  return util::Crc32(reinterpret_cast<const uint8_t*>(status.message().data()),
+                     status.message().size(), crc);
+}
+
+uint32_t AddFrame(uint32_t crc, const media::Image& frame) {
+  return util::Crc32(reinterpret_cast<const uint8_t*>(frame.pixels().data()),
+                     frame.pixels().size() * sizeof(media::Rgb), crc);
+}
+
+uint32_t DecodeDigest(const codec::CmvFile& file,
+                      const util::ExecutionContext& ctx) {
+  const util::StatusOr<media::Video> video = codec::DecodeVideo(file, ctx);
+  uint32_t crc = AddStatus(0, video.status());
+  if (!video.ok()) return crc;
+  for (int i = 0; i < video->frame_count(); ++i) {
+    crc = AddFrame(crc, video->frame(i));
+  }
+  return crc;
+}
+
+uint32_t GopDigest(const codec::CmvFile& file) {
+  const util::StatusOr<codec::GopReader> reader =
+      codec::GopReader::Create(&file);
+  uint32_t crc = AddStatus(0, reader.status());
+  if (!reader.ok()) return crc;
+  for (int g = 0; g < reader->gop_count(); ++g) {
+    const util::StatusOr<std::vector<media::Image>> frames =
+        reader->DecodeGop(g);
+    crc = AddStatus(crc, frames.status());
+    if (!frames.ok()) continue;
+    for (const media::Image& frame : *frames) crc = AddFrame(crc, frame);
+  }
+  return crc;
+}
+
+uint32_t DcDigest(const codec::CmvFile& file) {
+  util::SalvageReport report;
+  const util::StatusOr<std::vector<media::GrayImage>> dcs =
+      codec::DecodeDcImagesSalvage(file, &report);
+  uint32_t crc = AddStatus(0, dcs.status());
+  if (dcs.ok()) {
+    for (const media::GrayImage& dc : *dcs) {
+      crc = util::Crc32(dc.pixels(), crc);
+    }
+  }
+  const int32_t counts[] = {report.items_recovered, report.items_dropped,
+                            report.gops_skipped};
+  crc = util::Crc32(reinterpret_cast<const uint8_t*>(counts), sizeof(counts),
+                    crc);
+  for (const std::string& note : report.notes) {
+    crc = util::Crc32(reinterpret_cast<const uint8_t*>(note.data()),
+                      note.size() + 1, crc);  // the terminator separates notes
+  }
+  return crc;
+}
+
+// Flips one payload bit in every fifth frame. Record checksums guard the
+// container, not a decoder handed the records in memory, so the damage
+// reaches the bit reader, the block decoder and the salvage path.
+codec::CmvFile DamagePayloads(codec::CmvFile file) {
+  for (size_t i = 2; i < file.frames.size(); i += 5) {
+    std::vector<uint8_t>& payload = file.frames[i].payload;
+    if (payload.empty()) continue;
+    const uint64_t bit = (i * 2654435761ull) % (payload.size() * 8);
+    payload[bit / 8] ^= static_cast<uint8_t>(0x80u >> (bit % 8));
+  }
+  return file;
+}
+
+std::string CodecRowName(const ::testing::TestParamInfo<size_t>& info) {
+  const GoldenCodec& golden = kGoldenCodec[info.param];
+  std::string name = golden.title;
+  if (golden.degraded) name += "_degraded";
+  if (golden.width > 0) {
+    name += "_" + std::to_string(golden.width) + "x" +
+            std::to_string(golden.height);
+  }
+  return name;
+}
+
+class EncodeGoldenTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(EncodeGoldenTest, ContainerBytesMatchRecordedDigests) {
+  const GoldenCodec& golden = kGoldenCodec[GetParam()];
+  const synth::GeneratedVideo generated = GenerateTitle(
+      golden.title, golden.degraded, golden.width, golden.height);
+  for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+    ScopedDispatchLevel pin(level);
+    const codec::CmvFile file = core::PackGeneratedVideo(generated);
+    const uint32_t got = util::Crc32(file.Serialize());
+    EXPECT_EQ(got, golden.encoded)
+        << "encode at " << util::DispatchLevelName(level) << "; got 0x"
+        << std::hex << std::setw(8) << std::setfill('0') << got;
+  }
+}
+
+class DecodeGoldenTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(DecodeGoldenTest, FramesAndDcSeriesMatchRecordedDigests) {
+  const GoldenCodec& golden = kGoldenCodec[GetParam()];
+  const codec::CmvFile file = EncodeTitle(golden.title, golden.degraded,
+                                          golden.width, golden.height);
+  ASSERT_FALSE(file.frames.empty());
+  const codec::CmvFile damaged = DamagePayloads(file);
+  util::ThreadPool pool(4);
+  for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+    ScopedDispatchLevel pin(level);
+    const uint32_t dc = DcDigest(file);
+    const uint32_t damaged_dc = DcDigest(damaged);
+    const uint32_t gops = GopDigest(damaged);
+    for (util::ThreadPool* width : {static_cast<util::ThreadPool*>(nullptr),
+                                    &pool}) {
+      const util::ExecutionContext ctx(width);
+      const uint32_t decoded = DecodeDigest(file, ctx);
+      const uint32_t damaged_decoded =
+          util::Crc32(reinterpret_cast<const uint8_t*>(&gops), sizeof(gops),
+                      DecodeDigest(damaged, ctx));
+      char got[96];
+      std::snprintf(got, sizeof(got), "0x%08x, 0x%08x, 0x%08x, 0x%08x",
+                    decoded, dc, damaged_decoded, damaged_dc);
+      const std::string where =
+          std::string(" at ") + util::DispatchLevelName(level) + ", width " +
+          std::to_string(ctx.thread_count()) + "; got " + got;
+      EXPECT_EQ(decoded, golden.decoded) << "DecodeVideo" << where;
+      EXPECT_EQ(dc, golden.dc) << "DecodeDcImagesSalvage" << where;
+      EXPECT_EQ(damaged_decoded, golden.damaged_decoded)
+          << "damaged DecodeVideo + DecodeGop" << where;
+      EXPECT_EQ(damaged_dc, golden.damaged_dc)
+          << "damaged DecodeDcImagesSalvage" << where;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CorpusTitles, EncodeGoldenTest,
+                         ::testing::Range<size_t>(0, std::size(kGoldenCodec)),
+                         CodecRowName);
+INSTANTIATE_TEST_SUITE_P(CorpusTitles, DecodeGoldenTest,
+                         ::testing::Range<size_t>(0, std::size(kGoldenCodec)),
+                         CodecRowName);
 
 // The daemon's one protocol path: every golden request of every title goes
 // through one pipelined session, each report streamed in 64-byte chunks and

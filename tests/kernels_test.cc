@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -221,6 +222,87 @@ TEST(DctKernelTest, AccelMatchesScalarBitForBit) {
   }
 }
 
+// Coefficient blocks with a random subset of rows and columns live (from
+// all-zero and DC-only to dense), as dequantised residuals look.
+codec::Block SparseBlock(util::Rng* rng) {
+  const int row_mask = rng->UniformInt(0, 255);
+  const int col_mask = rng->UniformInt(0, 255);
+  codec::Block b{};
+  for (int v = 0; v < 8; ++v) {
+    for (int u = 0; u < 8; ++u) {
+      if ((row_mask >> v & 1) && (col_mask >> u & 1) &&
+          rng->UniformInt(0, 2) != 0) {
+        b[static_cast<size_t>(v) * 8 + u] =
+            rng->UniformInt(-40, 40) * rng->Uniform(1.0, 20.0);
+      }
+    }
+  }
+  return b;
+}
+
+// Both inverse kernels skip zero rows and columns; against two dense
+// passes that sum every product they must not differ in a single bit.
+TEST(DctKernelTest, SparseInverseMatchesTheDenseSums) {
+  const auto& t = codec::internal::Tables().basis;
+  util::Rng rng(0xD2);
+  for (int iter = 0; iter < 2000; ++iter) {
+    const codec::Block freq = SparseBlock(&rng);
+    codec::Block tmp{}, want{};
+    for (int u = 0; u < 8; ++u) {
+      for (int y = 0; y < 8; ++y) {
+        double acc = 0.0;
+        for (int v = 0; v < 8; ++v) acc += freq[v * 8 + u] * t[v][y];
+        tmp[y * 8 + u] = acc;
+      }
+    }
+    for (int y = 0; y < 8; ++y) {
+      for (int x = 0; x < 8; ++x) {
+        double acc = 0.0;
+        for (int u = 0; u < 8; ++u) acc += tmp[y * 8 + u] * t[u][x];
+        want[y * 8 + x] = acc;
+      }
+    }
+    const codec::Block scalar = codec::internal::InverseDctScalar(freq);
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(Bits(scalar[i]), Bits(want[i])) << "iter " << iter << " " << i;
+    }
+    if (!codec::internal::DctAccelAvailable()) continue;
+    const codec::Block accel = codec::internal::InverseDctAccel(freq);
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(Bits(accel[i]), Bits(want[i])) << "iter " << iter << " " << i;
+    }
+  }
+}
+
+TEST(DctKernelTest, AddResidualAccelMatchesScalar) {
+  if (!codec::internal::DctAccelAvailable()) {
+    GTEST_SKIP() << "no DCT accel kernel on this architecture";
+  }
+  util::Rng rng(0xD3);
+  for (int iter = 0; iter < 500; ++iter) {
+    // Residuals reach past both ends of [0, 255] and land on halves.
+    codec::Block residual;
+    for (double& v : residual) {
+      v = rng.UniformInt(0, 3) == 0 ? rng.UniformInt(-600, 600) / 2.0
+                                    : rng.Uniform(-300.0, 300.0);
+    }
+    // Rows of 9 samples, so a block of 8 sits in a wider plane.
+    int16_t scalar[8 * 9];
+    for (int16_t& p : scalar) p = static_cast<int16_t>(rng.UniformInt(0, 255));
+    int16_t accel[8 * 9];
+    std::copy(std::begin(scalar), std::end(scalar), accel);
+    const int rows = rng.UniformInt(1, 8);
+    const int cols = iter % 3 == 0 ? rng.UniformInt(1, 8) : 8;
+    const bool predicted = iter % 2 == 1;
+    codec::internal::AddResidualScalar(residual, scalar, 9, rows, cols,
+                                       predicted);
+    codec::internal::AddResidualAccel(residual, accel, 9, rows, cols,
+                                      predicted);
+    ASSERT_TRUE(std::equal(std::begin(scalar), std::end(scalar), accel))
+        << "iter " << iter;
+  }
+}
+
 TEST(DctKernelTest, PublicEntryPointsAgreeAcrossLevels) {
   util::Rng rng(0xD1);
   const codec::Block spatial = RandomBlock(&rng, -128.0, 127.0);
@@ -239,6 +321,180 @@ TEST(DctKernelTest, PublicEntryPointsAgreeAcrossLevels) {
           << "fwd " << i << " level " << util::DispatchLevelName(level);
       ASSERT_EQ(Bits(got_i[i]), Bits(want_i[i]))
           << "inv " << i << " level " << util::DispatchLevelName(level);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pixel rounding and YCbCr -> RGB.
+
+codec::Plane RandomPlane(int w, int h, int lo, int hi, util::Rng* rng) {
+  codec::Plane p = codec::Plane::Make(w, h);
+  for (int16_t& s : p.samples) {
+    s = static_cast<int16_t>(rng->UniformInt(lo, hi));
+  }
+  return p;
+}
+
+int LroundClamp255(double v) {
+  return static_cast<int>(std::lround(std::clamp(v, 0.0, 255.0)));
+}
+
+// Values where rounding can go wrong: every half in [-2, 258], the doubles
+// next to each, signed zeros, tiny and huge magnitudes and NaN.
+std::vector<double> RoundingEdgeValues() {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                -1.0,
+                                -0.5,
+                                -1e-300,
+                                -1e300,
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest(),
+                                255.49999999999997,
+                                255.5,
+                                256.0,
+                                300.25,
+                                1e18,
+                                0.49999999999999994};
+  for (int k = -4; k <= 516; ++k) {
+    const double v = k / 2.0;
+    values.push_back(v);
+    values.push_back(std::nextafter(v, -1e9));
+    values.push_back(std::nextafter(v, 1e9));
+  }
+  return values;
+}
+
+TEST(RoundClamp255Test, EqualsLroundOfClampOnHalvesNeighboursAndExtremes) {
+  for (double v : RoundingEdgeValues()) {
+    EXPECT_EQ(codec::RoundClamp255(v), LroundClamp255(v)) << v;
+  }
+  EXPECT_EQ(codec::RoundClamp255(std::numeric_limits<double>::quiet_NaN()), 0);
+}
+
+TEST(DctKernelTest, AddResidualAccelRoundsEdgeValuesLikeLround) {
+  if (!codec::internal::DctAccelAvailable()) {
+    GTEST_SKIP() << "no DCT accel kernel on this architecture";
+  }
+  std::vector<double> values = RoundingEdgeValues();
+  values.push_back(std::numeric_limits<double>::quiet_NaN());
+  for (size_t at = 0; at < values.size(); at += 8) {
+    codec::Block residual{};
+    for (size_t i = 0; i < 8 && at + i < values.size(); ++i) {
+      residual[i] = values[at + i];
+    }
+    int16_t got[8] = {};  // a prediction of 0
+    codec::internal::AddResidualAccel(residual, got, 8, 1, 8,
+                                      /*predicted=*/true);
+    for (size_t i = 0; i < 8; ++i) {
+      // 0 + v is v for every v but -0.0, which rounds like +0.0.
+      EXPECT_EQ(got[i], codec::RoundClamp255(residual[i])) << residual[i];
+      if (!std::isnan(residual[i])) {
+        EXPECT_EQ(got[i], LroundClamp255(residual[i])) << residual[i];
+      }
+    }
+  }
+}
+
+// The ToImage formula before the kernels existed, per pixel.
+media::Rgb ReferenceYcc(double yy, double cb, double cr) {
+  const auto to8 = [](double v) { return static_cast<uint8_t>(LroundClamp255(v)); };
+  cb -= 128.0;
+  cr -= 128.0;
+  return media::Rgb{to8(yy + 1.402 * cr),
+                    to8(yy - 0.344136 * cb - 0.714136 * cr),
+                    to8(yy + 1.772 * cb)};
+}
+
+media::Image ReferenceToImage(const codec::Picture& p, int width, int height) {
+  media::Image out(width, height);
+  for (int y = 0; y < height; ++y) {
+    for (int x = 0; x < width; ++x) {
+      const int cx = std::min(x / 2, p.cb.width - 1);
+      const int cy = std::min(y / 2, p.cb.height - 1);
+      out.set(x, y,
+              ReferenceYcc(p.y.at(std::min(x, p.y.width - 1),
+                                  std::min(y, p.y.height - 1)),
+                           p.cb.at(cx, cy), p.cr.at(cx, cy)));
+    }
+  }
+  return out;
+}
+
+// Every (y, cb, cr) triple: one row per cr, pixel x of it takes y = x % 256
+// and chroma x / 2, whose cb is x / 256.
+TEST(ToImageKernelTest, RowKernelsMatchTheFormulaOnEveryTriple) {
+  constexpr int kCount = 256 * 256;
+  std::vector<int16_t> y(kCount), cb(kCount / 2), cr(kCount / 2);
+  for (int x = 0; x < kCount; ++x) y[x] = static_cast<int16_t>(x % 256);
+  for (int i = 0; i < kCount / 2; ++i) cb[i] = static_cast<int16_t>(i / 128);
+  std::vector<media::Rgb> scalar(kCount), accel(kCount);
+  const bool have_accel = codec::internal::ToImageAccelAvailable();
+  for (int c = 0; c < 256; ++c) {
+    std::fill(cr.begin(), cr.end(), static_cast<int16_t>(c));
+    codec::internal::ToImageRowScalar(y.data(), cb.data(), cr.data(), kCount,
+                                      scalar.data());
+    for (int x = 0; x < kCount; ++x) {
+      ASSERT_EQ(scalar[x], ReferenceYcc(y[x], cb[x / 2], c))
+          << "y " << y[x] << " cb " << cb[x / 2] << " cr " << c;
+    }
+    if (!have_accel) continue;
+    codec::internal::ToImageRowAccel(y.data(), cb.data(), cr.data(), kCount,
+                                     accel.data());
+    ASSERT_TRUE(std::equal(accel.begin(), accel.end(), scalar.begin()))
+        << "cr " << c;
+  }
+}
+
+TEST(ToImageKernelTest, AccelMatchesScalarOnRandomRowsOfEveryLength) {
+  if (!codec::internal::ToImageAccelAvailable()) {
+    GTEST_SKIP() << "no ToImage accel kernel on this architecture";
+  }
+  util::Rng rng(0xC0);
+  for (int count = 0; count <= 67; ++count) {
+    std::vector<int16_t> y(count + 1), cb(count / 2 + 1), cr(count / 2 + 1);
+    // Luma is not table-indexed, so it may leave [0, 255].
+    for (int16_t& v : y) v = static_cast<int16_t>(rng.UniformInt(-300, 600));
+    for (int16_t& v : cb) v = static_cast<int16_t>(rng.UniformInt(0, 255));
+    for (int16_t& v : cr) v = static_cast<int16_t>(rng.UniformInt(0, 255));
+    std::vector<media::Rgb> scalar(count + 1), accel(count + 1);
+    codec::internal::ToImageRowScalar(y.data(), cb.data(), cr.data(), count,
+                                      scalar.data());
+    codec::internal::ToImageRowAccel(y.data(), cb.data(), cr.data(), count,
+                                     accel.data());
+    EXPECT_EQ(accel, scalar) << "count " << count;
+  }
+}
+
+// Odd sizes, output larger than the planes (edge replication), luma
+// outside [0, 255], and chroma outside it too (which skips the tables):
+// every level must give the reference formula's pixels.
+TEST(ToImageKernelTest, PublicEntryPointMatchesTheFormulaAtEveryLevel) {
+  util::Rng rng(0xC1);
+  for (int h = 1; h <= 9; ++h) {
+    for (int w = 1; w <= 37; w += 3) {
+      for (int wild = 0; wild < 3; ++wild) {  // none, luma, luma and chroma
+        const int cw = (w + 1) / 2;
+        const int ch = (h + 1) / 2;
+        const codec::Picture pic{
+            wild > 0 ? RandomPlane(w, h, -32768, 32767, &rng)
+                     : RandomPlane(w, h, 0, 255, &rng),
+            RandomPlane(cw, ch, wild > 1 ? -40 : 0, 255, &rng),
+            RandomPlane(cw, ch, 0, wild > 1 ? 400 : 255, &rng)};
+        for (int extra : {0, 3}) {
+          const media::Image want =
+              ReferenceToImage(pic, w + extra, h + extra);
+          for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+            ScopedDispatchLevel pin(level);
+            EXPECT_TRUE(codec::ToImage(pic, w + extra, h + extra) == want)
+                << w << "x" << h << " +" << extra << " wild " << wild
+                << " at " << util::DispatchLevelName(level);
+          }
+        }
+      }
     }
   }
 }
@@ -380,14 +636,6 @@ TEST(HistogramKernelTest, ReductionsAreBitIdenticalAcrossLevels) {
 
 // ---------------------------------------------------------------------------
 // SAD.
-
-codec::Plane RandomPlane(int w, int h, int lo, int hi, util::Rng* rng) {
-  codec::Plane p = codec::Plane::Make(w, h);
-  for (int16_t& s : p.samples) {
-    s = static_cast<int16_t>(rng->UniformInt(lo, hi));
-  }
-  return p;
-}
 
 TEST(SadKernelTest, InteriorBlocksMatchScalarExactly) {
   if (!codec::internal::SadAccelAvailable()) {
