@@ -1,8 +1,8 @@
 // Micro-benchmarks for the checksummed persistence layer: CRC-32
 // throughput, CMV serialisation with and without per-record checksums
-// (CMV1 vs CMV2), CMDB v3 framed serialise/parse, the salvage scanner on
-// pristine input, the full atomic two-generation save, and the sharded
-// append-log upsert against the monolithic whole-file rewrite.
+// (CMV1 vs CMV2), the framed entry codec the library's shard logs use, the
+// legacy CMDB importer's salvage scanner on pristine input, and the sharded
+// append-log upsert.
 
 #include <benchmark/benchmark.h>
 
@@ -102,16 +102,23 @@ void BM_CmvParse(benchmark::State& state) {
 }
 BENCHMARK(BM_CmvParse)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-// CMDB v3 framed entries (magic + size + CRC per video) serialise/parse.
+// Framed entries (magic + size + CRC per video, a shard log's upsert
+// record) serialise/parse.
 void BM_ChecksumedPersist(benchmark::State& state) {
   const index::VideoDatabase db =
       BenchDatabase(static_cast<int>(state.range(0)));
   size_t bytes = 0;
   for (auto _ : state) {
-    const std::vector<uint8_t> out = index::SerializeDatabase(db);
-    util::StatusOr<index::VideoDatabase> back = index::ParseDatabase(out);
-    benchmark::DoNotOptimize(back);
-    bytes = out.size();
+    util::ByteWriter w;
+    for (int v = 0; v < db.video_count(); ++v) {
+      index::internal::PutFramedEntry(&w, db.video(v));
+    }
+    util::ByteReader r(w.bytes());
+    for (int v = 0; v < db.video_count(); ++v) {
+      index::VideoEntry entry;
+      benchmark::DoNotOptimize(index::internal::GetFramedEntry(&r, &entry));
+    }
+    bytes = w.size();
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -121,11 +128,18 @@ BENCHMARK(BM_ChecksumedPersist)
     ->Arg(16)
     ->Unit(benchmark::kMicrosecond);
 
-// The salvage scanner on pristine input: what a "paranoid open" costs when
-// nothing is actually torn.
+// The legacy CMDB importer's salvage scanner on pristine v3 input: what a
+// "paranoid open" of an old file costs when nothing is actually torn.
 void BM_SalvageParsePristine(benchmark::State& state) {
-  const std::vector<uint8_t> bytes =
-      index::SerializeDatabase(BenchDatabase(8));
+  const index::VideoDatabase db = BenchDatabase(8);
+  util::ByteWriter w;
+  w.PutU32(0x42444d43);  // "CMDB"
+  w.PutU32(3);
+  w.PutU32(static_cast<uint32_t>(db.video_count()));
+  for (int v = 0; v < db.video_count(); ++v) {
+    index::internal::PutFramedEntry(&w, db.video(v));
+  }
+  const std::vector<uint8_t> bytes = w.Release();
   for (auto _ : state) {
     util::SalvageReport report;
     benchmark::DoNotOptimize(index::ParseDatabaseSalvage(bytes, &report));
@@ -135,28 +149,11 @@ void BM_SalvageParsePristine(benchmark::State& state) {
 }
 BENCHMARK(BM_SalvageParsePristine)->Unit(benchmark::kMicrosecond);
 
-// Full two-generation atomic save: serialise, tmp write, fsync, rotate,
-// rename, manifest. Disk-bound; the figure to watch is the overhead on
-// top of BM_ChecksumedPersist's pure-CPU round-trip.
-void BM_AtomicSaveDatabase(benchmark::State& state) {
-  const index::VideoDatabase db = BenchDatabase(8);
-  const std::string path = "bench_persist.cmdb";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index::SaveDatabase(db, path));
-  }
-  std::remove(path.c_str());
-  std::remove(index::DatabaseBackupPath(path).c_str());
-  std::remove(index::DatabaseManifestPath(path).c_str());
-}
-BENCHMARK(BM_AtomicSaveDatabase)->Unit(benchmark::kMicrosecond);
-
-
 // ---------------------------------------------------------------------------
-// Sharded append-log tier: the headline scaling claim. A monolithic upsert
-// rewrites the whole library (O(library)); a sharded upsert appends one
-// framed entry to one shard log and fsyncs it (O(entry)). The arg is the
-// number of entries already in the library — the sharded per-upsert cost
-// must stay flat from 1k to 100k while the monolithic one grows linearly.
+// Sharded append-log library: an upsert appends one framed entry to one
+// shard log and fsyncs it (O(entry)). The arg is the number of entries
+// already in the library — the per-upsert cost must stay flat from 1k to
+// 100k.
 
 index::VideoDatabase TinyDatabase(int videos) {
   index::VideoDatabase db;
@@ -214,30 +211,6 @@ void BM_ShardedUpsert(benchmark::State& state) {
   RemoveShardedFiles(path);
 }
 BENCHMARK(BM_ShardedUpsert)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_MonolithicUpsert(benchmark::State& state) {
-  const int videos = static_cast<int>(state.range(0));
-  const std::string path = "bench_mono.cmdb";
-  index::VideoDatabase db = TinyDatabase(videos);
-  for (auto _ : state) {
-    // Updating any entry in the monolithic format means re-serialising and
-    // atomically rewriting every entry.
-    const util::Status st = index::SaveDatabase(db, path);
-    if (!st.ok()) {
-      state.SkipWithError("save failed");
-      break;
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-  std::remove(path.c_str());
-  std::remove(index::DatabaseBackupPath(path).c_str());
-  std::remove(index::DatabaseManifestPath(path).c_str());
-}
-BENCHMARK(BM_MonolithicUpsert)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)

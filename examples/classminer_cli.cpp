@@ -22,14 +22,17 @@
 // degraded failure policy, so a truncated or bit-flipped archive still
 // yields a (flagged) result; --strict restores all-or-nothing semantics.
 //
-// `index` persists the mined results as an atomic-generation CMDB (the
-// previous file survives at <db>.cmdb.prev, an advisory manifest at
-// <db>.cmdb.manifest); `verify` audits one database file (strict parse,
-// per-entry checksums, degraded count, manifest) and exits non-zero unless
-// it is pristine; `repair` re-mines every degraded entry from its source
-// container <DIR>/<name>.cmv and rewrites the database when it healed
-// anything (or when the open itself needed the backup generation or a
-// salvage parse).
+// `index` persists the mined results as a sharded append-log library (a
+// root manifest at <db> plus one log per shard at <db>.shard<k>; one shard
+// unless --shards says otherwise or <db> is already a library);
+// `verify` audits one database (strict parse, per-entry checksums, degraded
+// count, manifest) and exits non-zero unless it is pristine; `repair`
+// re-mines every degraded entry from its source container <DIR>/<name>.cmv
+// and rewrites the database when it healed anything (or when the open
+// itself needed a backup generation or a salvage parse). A legacy CMDB
+// file is import-only: it verifies as not clean, `repair` migrates it in
+// place to a 1-shard library, and `compact` / `index --append` refuse it
+// until then.
 
 #include <cstdio>
 #include <cstring>
@@ -417,9 +420,8 @@ int CmdIndex(const std::vector<std::string>& args) {
     return 0;
   }
 
-  // --shards N writes the hash-partitioned append-log layout; without it
-  // the save keeps whatever layout the path already has (sharded paths stay
-  // sharded, fresh paths get the monolithic format).
+  // --shards N partitions the library over N shard logs; without it an
+  // existing library keeps its shard count and anything else gets one.
   const util::Status saved =
       shards > 0 ? index::SaveShardedDatabase(db, db_path, shards)
                  : index::SaveDatabase(db, db_path);

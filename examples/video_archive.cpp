@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
               mined->structure.shots.size(),
               mined->structure.ActiveSceneCount(), mined->events.size());
 
-  // 3. Persist the mined database and reload it.
+  // 3. Persist the mined database (a 1-shard library) and reload it.
   index::VideoDatabase db;
   db.AddVideo(source.video.name(), mined->structure, mined->events);
   const std::string db_path = out_dir + "/archive.cmdb";

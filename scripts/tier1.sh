@@ -85,8 +85,9 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake --build build-asan -j --target audio_test >/dev/null
   ./build-asan/tests/audio_test
 
-  echo "== tier-1: protocol + CMV mutation + server (ASan) =="
-  # Hostile request/response frames and CMV containers/payloads from the
+  echo "== tier-1: protocol + CMV + persistence mutation + server (ASan) =="
+  # Hostile request/response frames, CMV containers/payloads and database
+  # bytes (CMSM manifests, CMSL shard logs, legacy CMDB files) from the
   # seeded mutator, and the reactor's own suite.
   cmake --build build-asan -j --target mutation_test server_test >/dev/null
   ./build-asan/tests/mutation_test
@@ -105,12 +106,15 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   ./build-asan/tests/kernels_test
 
   echo "== tier-1: crash-recovery matrix (ASan) =="
-  # Crashes injected at every serial.atomic_write.* site, with and without
-  # a prior generation, must leave a reopenable database; torn CMV/CMDB
-  # files must resynchronise; repair must bring verify back to clean. The
-  # sharded tier's matrix adds the index.shard.append.* / index.shard.
-  # compact.* / index.shard.open sites: any injected crash must reopen to a
-  # consistent pre- or post-operation library, never a torn one.
+  # Crashes injected at every serial.atomic_write.* site of a full save
+  # must leave a reopenable library; legacy CMDB files (v1-v3, torn,
+  # bit-flipped, with their .prev) must import, and a crash at every
+  # serial.atomic_write.* / index.shard.compact.* site while repair
+  # migrates one must reopen to the same entries (legacy root untouched or
+  # library in place); repair must bring verify back to clean. The library
+  # matrix adds the index.shard.append.* / index.shard.compact.* /
+  # index.shard.open sites: any injected crash must reopen to a consistent
+  # pre- or post-operation library, never a torn one.
   cmake --build build-asan -j --target recovery_test shard_test >/dev/null
   ./build-asan/tests/recovery_test
   ./build-asan/tests/shard_test

@@ -19,53 +19,9 @@ util::StatusOr<std::unique_ptr<FrameSource>> FrameSource::Create(
 
 FrameSource::FrameSource(GopReader reader, const Options& options)
     : reader_(std::move(reader)),
-      base_capacity_(std::max(1, options.cache_capacity_gops)),
-      max_capacity_(std::max(base_capacity_, options.cache_capacity_max_gops)),
-      capacity_(base_capacity_),
+      capacity_(std::max(1, options.cache_capacity_gops)),
       cancel_(options.cancel),
       salvage_(options.salvage) {}
-
-void FrameSource::AdaptCapacityLocked(int gop, bool hit) {
-  if (max_capacity_ <= base_capacity_) return;
-  ++window_accesses_;
-  window_gops_.insert(gop);
-  if (!hit) {
-    ++window_misses_;
-    // A miss on a GOP we already decoded means the LRU evicted part of the
-    // live working set: every pass over it will re-pay the decode. Double
-    // the capacity (up to the ceiling) so the set fits.
-    if (ever_decoded_.count(gop) != 0 && capacity_ < max_capacity_) {
-      capacity_ = std::min(capacity_ * 2, max_capacity_);
-      ++stats_.capacity_grows;
-    }
-  }
-  // Shrink with hysteresis, judged one window at a time: only when a whole
-  // window ran without a single miss AND touched at most half the current
-  // capacity is the headroom provably idle. A scan over more GOPs than
-  // capacity/2 keeps the window's distinct count high, so oscillation
-  // (shrink -> thrash -> grow) can't start.
-  constexpr int kWindow = 64;
-  if (window_accesses_ >= kWindow) {
-    if (window_misses_ == 0 && capacity_ > base_capacity_ &&
-        static_cast<int>(window_gops_.size()) <= capacity_ / 2) {
-      capacity_ = std::max(base_capacity_, capacity_ / 2);
-      ++stats_.capacity_shrinks;
-      EvictOverflowLocked();
-    }
-    window_accesses_ = 0;
-    window_misses_ = 0;
-    window_gops_.clear();
-  }
-}
-
-void FrameSource::EvictOverflowLocked() {
-  while (static_cast<int>(cache_.size()) > capacity_) {
-    const int victim = lru_.back();
-    lru_.pop_back();
-    cache_.erase(victim);
-    ++stats_.evictions;
-  }
-}
 
 util::StatusOr<FrameHandle> FrameSource::GetFrame(int frame_index) {
   const int g = reader_.GopOfFrame(frame_index);
@@ -88,13 +44,11 @@ util::StatusOr<FrameHandle> FrameSource::GetFrame(int frame_index) {
     if (it != cache_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
       ++stats_.cache_hits;
-      AdaptCapacityLocked(g, /*hit=*/true);
       return FrameHandle(it->second.frames, offset);
     }
     if (inflight_.count(g) == 0) break;
     decoded_cv_.wait(lock);
   }
-  AdaptCapacityLocked(g, /*hit=*/false);
 
   // Decode outside the lock; other GOPs (and waiters on this one) proceed.
   inflight_.insert(g);
@@ -129,21 +83,22 @@ util::StatusOr<FrameHandle> FrameSource::GetFrame(int frame_index) {
   ++stats_.decoded_gops;
   stats_.decoded_frames += static_cast<int64_t>(gop->size());
   stats_.decode_ms += elapsed_ms;
-  if (max_capacity_ > base_capacity_) ever_decoded_.insert(g);
 
   auto entry = std::make_shared<const DecodedGop>(std::move(gop).value());
   lru_.push_front(g);
   cache_[g] = CacheEntry{entry, lru_.begin()};
-  EvictOverflowLocked();
+  while (static_cast<int>(cache_.size()) > capacity_) {
+    cache_.erase(lru_.back());
+    lru_.pop_back();
+    ++stats_.evictions;
+  }
   decoded_cv_.notify_all();
   return FrameHandle(std::move(entry), offset);
 }
 
 FrameSource::Stats FrameSource::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Stats out = stats_;
-  out.capacity_gops = capacity_;
-  return out;
+  return stats_;
 }
 
 }  // namespace classminer::codec

@@ -44,15 +44,6 @@ struct FrameSourceOptions {
   // Maximum decoded GOPs held by the cache (>= 1). Bounds resident memory
   // at capacity * gop_size full frames.
   int cache_capacity_gops = 8;
-  // Adaptive capacity ceiling. 0 (the default) keeps the capacity fixed at
-  // cache_capacity_gops. When > cache_capacity_gops, the source observes
-  // its own Stats: a cache miss on a GOP it already decoded once means the
-  // LRU evicted something still in the working set, so the capacity doubles
-  // (up to this ceiling) to stop the re-decode thrash. When a window of
-  // accesses shows no misses and touches at most half the current capacity,
-  // the capacity halves back toward cache_capacity_gops, releasing memory a
-  // scan-heavy phase grabbed that a sparse phase no longer needs.
-  int cache_capacity_max_gops = 0;
   // Borrowed; may be null. Checked inside the per-GOP decode loop.
   const util::CancellationToken* cancel = nullptr;
   // Salvage mode for damaged containers: a GOP whose decode fails is marked
@@ -91,9 +82,6 @@ class FrameSource {
     int64_t evictions = 0;       // GOPs dropped by LRU pressure
     int64_t failed_gops = 0;     // GOPs marked bad in salvage mode
     double decode_ms = 0.0;      // wall time spent inside GOP decodes
-    int capacity_gops = 0;       // current (possibly adapted) capacity
-    int64_t capacity_grows = 0;  // adaptive capacity doublings
-    int64_t capacity_shrinks = 0;  // adaptive capacity halvings
   };
 
   // Validates the file/index via GopReader::Create.
@@ -114,18 +102,8 @@ class FrameSource {
  private:
   FrameSource(GopReader reader, const Options& options);
 
-  // Reacts to one cache lookup under the lock: grows the capacity when a
-  // previously decoded GOP missed (it was evicted while still wanted) and,
-  // at window boundaries, shrinks it when the working set no longer needs
-  // the headroom. No-op unless max_capacity_ > base_capacity_.
-  void AdaptCapacityLocked(int gop, bool hit);
-  // Drops LRU tails until the cache fits capacity_.
-  void EvictOverflowLocked();
-
   GopReader reader_;
-  const int base_capacity_;
-  const int max_capacity_;
-  int capacity_;
+  const int capacity_;
   const util::CancellationToken* cancel_;
   const bool salvage_;
 
@@ -139,10 +117,6 @@ class FrameSource {
   };
   std::unordered_map<int, CacheEntry> cache_;
   std::set<int> inflight_;  // GOPs currently decoding on some thread
-  std::set<int> ever_decoded_;  // GOPs decoded at least once (adaptive only)
-  std::set<int> window_gops_;   // distinct GOPs touched this window
-  int window_accesses_ = 0;
-  int window_misses_ = 0;
   util::Status error_;      // sticky first non-retryable decode failure
   // Salvage mode: GOPs that failed to decode, with the recorded error.
   std::unordered_map<int, util::Status> bad_gops_;

@@ -75,12 +75,6 @@ struct MiningOptions {
   // CMV fast path only: decoded-GOP LRU cache capacity of the selective
   // FrameSource (bounds resident frames at capacity * gop_size).
   int gop_cache_capacity = 8;
-  // CMV fast path only: adaptive ceiling for the GOP cache. 0 (default)
-  // pins the capacity at gop_cache_capacity; a larger value lets the
-  // FrameSource grow the cache when it observes re-decode thrash and
-  // shrink it back when the working set contracts. Never changes mined
-  // output — frames are bit-identical at any capacity — only decode cost.
-  int gop_cache_capacity_max = 0;
   // What a failed optional stage does to the run (see FailurePolicy).
   FailurePolicy failure_policy = FailurePolicy::kStrict;
 };

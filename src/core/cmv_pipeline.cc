@@ -90,7 +90,6 @@ util::StatusOr<MiningResult> MineCmvFileFast(const codec::CmvFile& file,
   // put it in salvage mode so a corrupt GOP fails only the frames it holds.
   codec::FrameSource::Options source_options;
   source_options.cache_capacity_gops = options.gop_cache_capacity;
-  source_options.cache_capacity_max_gops = options.gop_cache_capacity_max;
   source_options.cancel = options.cancel;
   source_options.salvage = degraded_mode;
   util::StatusOr<std::unique_ptr<codec::FrameSource>> source =

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "index/shard.h"
@@ -12,12 +13,23 @@
 namespace classminer::index {
 namespace {
 
-constexpr uint32_t kMagic = 0x42444d43;  // "CMDB"
+constexpr uint32_t kMagic = 0x42444d43;  // "CMDB" (legacy, import-only)
 // v1: no per-video degraded flag. v2: one u8 degraded flag per video.
 // v3: every video entry framed as (kEntryMagic, body size, CRC-32, body).
+// The library's shard logs frame their entries the v3 way.
 constexpr uint32_t kVersion = 3;
-constexpr uint32_t kEntryMagic = 0x45564d43;     // "CMVE"
-constexpr uint32_t kManifestMagic = 0x4d474d43;  // "CMGM"
+constexpr uint32_t kEntryMagic = internal::kEntryFrameMagic;
+
+// Smallest serialized size of each counted element (PutVideo's layout), so
+// a count can be checked against the bytes left before anything is
+// allocated for it.
+constexpr size_t kShotBytes = 16 + sizeof(features::ColorHistogram) +
+                              sizeof(features::TamuraVector);
+constexpr size_t kGroupBytes = 3 * 4 + 1 + 4 + 4;  // + clusters, rep shots
+constexpr size_t kShotClusterBytes = 4 + 4;        // + shot indices
+constexpr size_t kSceneBytes = 4 * 4 + 1;
+constexpr size_t kSceneClusterBytes = 4 + 4;       // + scene indices
+constexpr size_t kEventBytes = 2 * 4 + 7 + 2 * 4;
 
 uint32_t ReadU32LE(const uint8_t* p) {
   uint32_t v = 0;
@@ -49,10 +61,25 @@ void PutIntVector(util::ByteWriter* w, const std::vector<int>& v) {
   for (int x : v) w->PutI32(x);
 }
 
-util::Status GetIntVector(util::ByteReader* r, std::vector<int>* v) {
+// Reads a u32 element count and rejects one the bytes left cannot hold,
+// each element taking at least `min_bytes`: a hostile count fails here
+// instead of sizing an allocation.
+util::Status GetCount(util::ByteReader* r, size_t min_bytes,
+                      const char* what, uint32_t* count) {
   util::StatusOr<uint32_t> n = r->GetU32();
   if (!n.ok()) return n.status();
-  v->resize(*n);
+  if (*n > r->remaining() / min_bytes) {
+    return r->Corrupt(std::string(what) + " count exceeds database size");
+  }
+  *count = *n;
+  return util::Status::Ok();
+}
+
+util::Status GetIntVector(util::ByteReader* r, const char* what,
+                          std::vector<int>* v) {
+  uint32_t n = 0;
+  CLASSMINER_RETURN_IF_ERROR(GetCount(r, 4, what, &n));
+  v->resize(n);
   for (int& x : *v) {
     util::StatusOr<int32_t> i = r->GetI32();
     if (!i.ok()) return i.status();
@@ -141,14 +168,9 @@ util::Status GetVideo(util::ByteReader* r, uint32_t version,
   };
 
   structure::ContentStructure& cs = out->structure;
-  util::StatusOr<uint32_t> shot_count = r->GetU32();
-  if (!shot_count.ok()) return shot_count.status();
-  // Every serialised shot carries 4 ints + 266 doubles; reject counts the
-  // remaining buffer cannot hold (guards hostile resize sizes).
-  if (*shot_count > r->remaining() / (16 + 266 * 8)) {
-    return r->Corrupt("shot count exceeds database size");
-  }
-  cs.shots.resize(*shot_count);
+  uint32_t count = 0;
+  CLASSMINER_RETURN_IF_ERROR(GetCount(r, kShotBytes, "shot", &count));
+  cs.shots.resize(count);
   for (shot::Shot& s : cs.shots) {
     CLASSMINER_RETURN_IF_ERROR(get_i32(&s.index));
     CLASSMINER_RETURN_IF_ERROR(get_i32(&s.start_frame));
@@ -157,27 +179,26 @@ util::Status GetVideo(util::ByteReader* r, uint32_t version,
     CLASSMINER_RETURN_IF_ERROR(GetFeatures(r, &s.features));
   }
 
-  util::StatusOr<uint32_t> group_count = r->GetU32();
-  if (!group_count.ok()) return group_count.status();
-  cs.groups.resize(*group_count);
+  CLASSMINER_RETURN_IF_ERROR(GetCount(r, kGroupBytes, "group", &count));
+  cs.groups.resize(count);
   for (structure::Group& g : cs.groups) {
     CLASSMINER_RETURN_IF_ERROR(get_i32(&g.index));
     CLASSMINER_RETURN_IF_ERROR(get_i32(&g.start_shot));
     CLASSMINER_RETURN_IF_ERROR(get_i32(&g.end_shot));
     CLASSMINER_RETURN_IF_ERROR(get_u8(&g.temporally_related));
-    util::StatusOr<uint32_t> clusters = r->GetU32();
-    if (!clusters.ok()) return clusters.status();
-    g.clusters.resize(*clusters);
+    CLASSMINER_RETURN_IF_ERROR(
+        GetCount(r, kShotClusterBytes, "shot cluster", &count));
+    g.clusters.resize(count);
     for (structure::ShotCluster& c : g.clusters) {
-      CLASSMINER_RETURN_IF_ERROR(GetIntVector(r, &c.shot_indices));
+      CLASSMINER_RETURN_IF_ERROR(
+          GetIntVector(r, "cluster shot index", &c.shot_indices));
       CLASSMINER_RETURN_IF_ERROR(get_i32(&c.rep_shot));
     }
-    CLASSMINER_RETURN_IF_ERROR(GetIntVector(r, &g.rep_shots));
+    CLASSMINER_RETURN_IF_ERROR(GetIntVector(r, "rep shot", &g.rep_shots));
   }
 
-  util::StatusOr<uint32_t> scene_count = r->GetU32();
-  if (!scene_count.ok()) return scene_count.status();
-  cs.scenes.resize(*scene_count);
+  CLASSMINER_RETURN_IF_ERROR(GetCount(r, kSceneBytes, "scene", &count));
+  cs.scenes.resize(count);
   for (structure::Scene& s : cs.scenes) {
     CLASSMINER_RETURN_IF_ERROR(get_i32(&s.index));
     CLASSMINER_RETURN_IF_ERROR(get_i32(&s.start_group));
@@ -186,17 +207,17 @@ util::Status GetVideo(util::ByteReader* r, uint32_t version,
     CLASSMINER_RETURN_IF_ERROR(get_u8(&s.eliminated));
   }
 
-  util::StatusOr<uint32_t> cluster_count = r->GetU32();
-  if (!cluster_count.ok()) return cluster_count.status();
-  cs.clustered_scenes.resize(*cluster_count);
+  CLASSMINER_RETURN_IF_ERROR(
+      GetCount(r, kSceneClusterBytes, "scene cluster", &count));
+  cs.clustered_scenes.resize(count);
   for (structure::SceneCluster& c : cs.clustered_scenes) {
-    CLASSMINER_RETURN_IF_ERROR(GetIntVector(r, &c.scene_indices));
+    CLASSMINER_RETURN_IF_ERROR(
+        GetIntVector(r, "scene cluster index", &c.scene_indices));
     CLASSMINER_RETURN_IF_ERROR(get_i32(&c.rep_group));
   }
 
-  util::StatusOr<uint32_t> event_count = r->GetU32();
-  if (!event_count.ok()) return event_count.status();
-  out->events.resize(*event_count);
+  CLASSMINER_RETURN_IF_ERROR(GetCount(r, kEventBytes, "event", &count));
+  out->events.resize(count);
   for (events::EventRecord& e : out->events) {
     CLASSMINER_RETURN_IF_ERROR(get_i32(&e.scene_index));
     int type = 0;
@@ -331,11 +352,17 @@ uint64_t SerializedBodySize(const VideoEntry& v) {
 }  // namespace
 
 util::Status ValidateForSerialize(const VideoDatabase& db) {
-  CLASSMINER_RETURN_IF_ERROR(util::CheckU32Count(
-      static_cast<size_t>(db.video_count()), "CMDB video"));
+  std::unordered_map<std::string, int> first_use;
   for (int i = 0; i < db.video_count(); ++i) {
-    CLASSMINER_RETURN_IF_ERROR(internal::ValidateEntry(
-        db.video(i), "CMDB videos[" + std::to_string(i) + "]"));
+    const std::string at = "videos[" + std::to_string(i) + "]";
+    CLASSMINER_RETURN_IF_ERROR(internal::ValidateEntry(db.video(i), at));
+    const auto [it, fresh] = first_use.emplace(db.video(i).name, i);
+    if (!fresh) {
+      return util::Status::InvalidArgument(
+          at + " repeats the name \"" + it->first + "\" of videos[" +
+          std::to_string(it->second) +
+          "]; a library keys its entries by name");
+    }
   }
   return util::Status::Ok();
 }
@@ -383,17 +410,6 @@ util::Status ValidateEntry(const VideoEntry& v, const std::string& at) {
 }
 
 }  // namespace internal
-
-std::vector<uint8_t> SerializeDatabase(const VideoDatabase& db) {
-  util::ByteWriter w;
-  w.PutU32(kMagic);
-  w.PutU32(kVersion);
-  w.PutU32(static_cast<uint32_t>(db.video_count()));
-  for (int v = 0; v < db.video_count(); ++v) {
-    PutFramedVideo(&w, db.video(v));
-  }
-  return w.Release();
-}
 
 util::StatusOr<VideoDatabase> ParseDatabase(
     const std::vector<uint8_t>& bytes) {
@@ -488,73 +504,79 @@ std::string DatabaseBackupPath(const std::string& path) {
   return path + ".prev";
 }
 
-std::string DatabaseManifestPath(const std::string& path) {
-  return path + ".manifest";
-}
-
-std::vector<uint8_t> SerializeManifest(const DatabaseManifest& manifest) {
-  util::ByteWriter w;
-  w.PutU32(kManifestMagic);
-  w.PutU64(manifest.generation);
-  w.PutU64(manifest.size);
-  w.PutU32(manifest.crc);
-  return w.Release();
-}
-
-util::StatusOr<DatabaseManifest> ParseManifest(
-    const std::vector<uint8_t>& bytes) {
-  util::ByteReader r(bytes);
-  r.set_section("manifest");
-  util::StatusOr<uint32_t> magic = r.GetU32();
-  if (!magic.ok()) return magic.status();
-  if (*magic != kManifestMagic) return r.Corrupt("bad CMGM magic");
-  DatabaseManifest m;
-  util::StatusOr<uint64_t> generation = r.GetU64();
-  if (!generation.ok()) return generation.status();
-  m.generation = *generation;
-  util::StatusOr<uint64_t> size = r.GetU64();
-  if (!size.ok()) return size.status();
-  m.size = *size;
-  util::StatusOr<uint32_t> crc = r.GetU32();
-  if (!crc.ok()) return crc.status();
-  m.crc = *crc;
-  return m;
-}
-
-util::StatusOr<DatabaseManifest> LoadManifest(const std::string& path) {
-  util::StatusOr<std::vector<uint8_t>> bytes = util::ReadFile(path);
-  if (!bytes.ok()) return bytes.status();
-  return ParseManifest(*bytes);
-}
-
 util::Status SaveDatabase(const VideoDatabase& db, const std::string& path) {
   CLASSMINER_RETURN_IF_ERROR(util::FailPoint::Check("index.persist.save"));
   if (IsShardedDatabasePath(path)) {
-    // A sharded library stays sharded across full rewrites (repair relies
-    // on this): partition the entries over the existing shard count.
+    // A library stays partitioned the way it is across full rewrites.
     util::StatusOr<int> shards = ShardedDatabaseShardCount(path);
     if (!shards.ok()) return shards.status();
     return SaveShardedDatabase(db, path, *shards);
   }
-  CLASSMINER_RETURN_IF_ERROR(ValidateForSerialize(db));
-  const std::vector<uint8_t> bytes = SerializeDatabase(db);
-
-  DatabaseManifest manifest;
-  util::StatusOr<DatabaseManifest> previous =
-      LoadManifest(DatabaseManifestPath(path));
-  manifest.generation = previous.ok() ? previous->generation + 1 : 1;
-  manifest.size = bytes.size();
-  manifest.crc = util::Crc32(bytes);
-
-  util::AtomicWriteOptions options;
-  options.backup_path = DatabaseBackupPath(path);
-  CLASSMINER_RETURN_IF_ERROR(util::AtomicWriteFile(path, bytes, options));
-  // The manifest is written after the data: a crash between the two leaves
-  // a manifest describing the previous generation, which loads treat as
-  // "save was interrupted" (advisory), never as corruption of the data.
-  return util::AtomicWriteFile(DatabaseManifestPath(path),
-                               SerializeManifest(manifest));
+  // A fresh path or a legacy CMDB file: the library's manifest replaces the
+  // root in one atomic rename, so a crash before it leaves the legacy file
+  // untouched (and its stray shard log ignored). Once the library is in
+  // place, the legacy previous generation and manifest are dead weight.
+  CLASSMINER_RETURN_IF_ERROR(SaveShardedDatabase(db, path, 1));
+  (void)std::remove(DatabaseBackupPath(path).c_str());
+  (void)std::remove((path + ".manifest").c_str());
+  return util::Status::Ok();
 }
+
+namespace {
+
+util::StatusOr<std::vector<uint8_t>> ReadLegacyFile(const std::string& path) {
+  CLASSMINER_RETURN_IF_ERROR(util::FailPoint::Check("index.persist.load"));
+  return util::ReadFile(path);
+}
+
+// The legacy ladder: strict current → strict previous → salvage current →
+// salvage previous.
+util::StatusOr<OpenResult> OpenLegacyDatabase(const std::string& path,
+                                              util::SalvageReport* report) {
+  const std::string backup = DatabaseBackupPath(path);
+  const util::StatusOr<std::vector<uint8_t>> current = ReadLegacyFile(path);
+  if (current.ok()) {
+    util::StatusOr<VideoDatabase> db = ParseDatabase(*current);
+    if (db.ok()) {
+      return OpenResult{std::move(db).value(), path, false, false, true};
+    }
+    report->AddNote("open: " + db.status().message());
+  } else {
+    report->AddNote("open: " + current.status().message());
+  }
+
+  const util::StatusOr<std::vector<uint8_t>> previous = ReadLegacyFile(backup);
+  if (previous.ok()) {
+    util::StatusOr<VideoDatabase> db = ParseDatabase(*previous);
+    if (db.ok()) {
+      report->AddNote("open: fell back to previous generation " + backup);
+      return OpenResult{std::move(db).value(), backup, true, false, true};
+    }
+    report->AddNote("open: " + db.status().message());
+  } else if (previous.status().code() != util::StatusCode::kNotFound) {
+    report->AddNote("open: " + previous.status().message());
+  }
+
+  if (current.ok()) {
+    util::StatusOr<VideoDatabase> db = ParseDatabaseSalvage(*current, report);
+    if (db.ok()) {
+      report->AddNote("open: salvaged current generation " + path);
+      return OpenResult{std::move(db).value(), path, false, true, true};
+    }
+  }
+  if (previous.ok()) {
+    util::StatusOr<VideoDatabase> db = ParseDatabaseSalvage(*previous, report);
+    if (db.ok()) {
+      report->AddNote("open: salvaged previous generation " + backup);
+      return OpenResult{std::move(db).value(), backup, true, true, true};
+    }
+  }
+  return util::Status::DataLoss("no loadable generation of " + path +
+                                " (tried strict and salvage on current and "
+                                "previous)");
+}
+
+}  // namespace
 
 util::StatusOr<VideoDatabase> LoadDatabase(const std::string& path) {
   CLASSMINER_RETURN_IF_ERROR(util::FailPoint::Check("index.persist.load"));
@@ -564,70 +586,26 @@ util::StatusOr<VideoDatabase> LoadDatabase(const std::string& path) {
   return ParseDatabase(*bytes);
 }
 
-util::StatusOr<VideoDatabase> LoadDatabaseSalvage(
-    const std::string& path, util::SalvageReport* report) {
-  CLASSMINER_RETURN_IF_ERROR(util::FailPoint::Check("index.persist.load"));
-  if (IsShardedDatabasePath(path)) {
-    return LoadShardedDatabaseSalvage(path, report, nullptr, nullptr);
-  }
-  util::StatusOr<std::vector<uint8_t>> bytes = util::ReadFile(path);
-  if (!bytes.ok()) return bytes.status();
-  return ParseDatabaseSalvage(*bytes, report);
-}
-
 util::StatusOr<OpenResult> OpenDatabaseAnyGeneration(
     const std::string& path, util::SalvageReport* report) {
   util::SalvageReport local;
   if (report == nullptr) report = &local;
-  if (IsShardedDatabasePath(path)) {
-    // Sharded tier: shards fall back / salvage individually inside Open
-    // (read-write, so torn tails are truncated back to the last confirmed
-    // frame); the flags aggregate "any shard fell back / was salvaged".
-    ShardedDatabase::OpenReport shards;
-    util::StatusOr<std::unique_ptr<ShardedDatabase>> sdb =
-        ShardedDatabase::Open(path, report, &shards, /*read_only=*/false);
-    if (!sdb.ok()) return sdb.status();
-    return OpenResult{(*sdb)->Snapshot(), path, shards.any_backup(),
-                      shards.any_salvaged() || shards.any_lost()};
-  }
-  const std::string backup = DatabaseBackupPath(path);
-
-  util::StatusOr<VideoDatabase> current = LoadDatabase(path);
-  if (current.ok()) {
-    return OpenResult{std::move(current).value(), path, false, false};
-  }
-  report->AddNote("open: " + current.status().message());
-
-  util::StatusOr<VideoDatabase> previous = LoadDatabase(backup);
-  if (previous.ok()) {
-    report->AddNote("open: fell back to previous generation " + backup);
-    return OpenResult{std::move(previous).value(), backup, true, false};
-  }
-  if (previous.status().code() != util::StatusCode::kNotFound) {
-    report->AddNote("open: " + previous.status().message());
-  }
-
-  util::StatusOr<VideoDatabase> salvaged = LoadDatabaseSalvage(path, report);
-  if (salvaged.ok()) {
-    report->AddNote("open: salvaged current generation " + path);
-    return OpenResult{std::move(salvaged).value(), path, false, true};
-  }
-
-  util::StatusOr<VideoDatabase> salvaged_prev =
-      LoadDatabaseSalvage(backup, report);
-  if (salvaged_prev.ok()) {
-    report->AddNote("open: salvaged previous generation " + backup);
-    return OpenResult{std::move(salvaged_prev).value(), backup, true, true};
-  }
-
-  return util::Status::DataLoss("no loadable generation of " + path +
-                                " (tried strict and salvage on current and "
-                                "previous)");
+  if (!IsShardedDatabasePath(path)) return OpenLegacyDatabase(path, report);
+  // Shards fall back / salvage individually inside Open (read-write, so
+  // torn tails are truncated back to the last confirmed frame); the flags
+  // aggregate "any shard fell back / was salvaged".
+  ShardedDatabase::OpenReport shards;
+  util::StatusOr<std::unique_ptr<ShardedDatabase>> sdb =
+      ShardedDatabase::Open(path, report, &shards, /*read_only=*/false);
+  if (!sdb.ok()) return sdb.status();
+  return OpenResult{(*sdb)->Snapshot(), path, shards.any_backup(),
+                    shards.any_salvaged() || shards.any_lost(), false};
 }
 
 std::string VerifyReport::ToString() const {
   std::string s = loadable ? "loadable" : "unloadable";
-  if (sharded) s += " sharded shards=" + std::to_string(shards);
+  if (legacy) s += " legacy-cmdb";
+  if (shards > 0) s += " shards=" + std::to_string(shards);
   s += " videos=" + std::to_string(videos);
   s += " degraded=" + std::to_string(degraded_videos);
   if (manifest_present) {
@@ -641,6 +619,7 @@ std::string VerifyReport::ToString() const {
   } else {
     s += " manifest=absent";
   }
+  if (legacy) s += " (import-only: repair migrates it to a library)";
   if (!error.empty()) s += " error=\"" + error + "\"";
   return s;
 }
@@ -659,31 +638,12 @@ VerifyReport VerifyDatabaseFile(const std::string& path) {
   util::StatusOr<VideoDatabase> db = ParseDatabase(*bytes);
   if (!db.ok()) {
     report.error = db.status().message();
-  } else {
-    report.loadable = true;
-    report.videos = db->video_count();
-    report.degraded_videos = db->DegradedCount();
+    return report;
   }
-  util::StatusOr<DatabaseManifest> manifest =
-      LoadManifest(DatabaseManifestPath(path));
-  if (manifest.ok()) {
-    report.manifest_present = true;
-    report.generation = manifest->generation;
-    const uint32_t file_crc = util::Crc32(*bytes);
-    report.manifest_matches =
-        manifest->size == bytes->size() && manifest->crc == file_crc;
-    if (!report.manifest_matches) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "manifest generation %llu records size=%llu crc=%08x; "
-                    "file has size=%llu crc=%08x",
-                    static_cast<unsigned long long>(manifest->generation),
-                    static_cast<unsigned long long>(manifest->size),
-                    manifest->crc,
-                    static_cast<unsigned long long>(bytes->size()), file_crc);
-      report.stale_detail = buf;
-    }
-  }
+  report.loadable = true;
+  report.legacy = true;
+  report.videos = db->video_count();
+  report.degraded_videos = db->DegradedCount();
   return report;
 }
 

@@ -49,10 +49,12 @@ util::StatusOr<RepairReport> RepairDatabaseFile(const std::string& path,
   if (!opened.ok()) return opened.status();
 
   RepairReport report = RepairDatabase(&opened->db, remine);
-  // Rewrite when an entry was healed, and also when the open itself had to
-  // recover (backup generation or salvage): saving then promotes the
-  // recovered state to a pristine current generation + manifest.
-  if (report.repaired > 0 || opened->used_backup || opened->salvaged) {
+  // Rewrite when an entry was healed, when the open itself had to recover
+  // (backup generation or salvage), and for every legacy CMDB file: saving
+  // promotes the recovered state to a pristine library generation, and
+  // migrates a legacy file in place to a 1-shard library.
+  if (report.repaired > 0 || opened->used_backup || opened->salvaged ||
+      opened->legacy) {
     CLASSMINER_RETURN_IF_ERROR(SaveDatabase(opened->db, path));
     report.rewritten = true;
   }

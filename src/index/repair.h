@@ -46,10 +46,12 @@ RepairReport RepairDatabase(VideoDatabase* db, const RemineFn& remine);
 
 // File-level repair: opens whichever generation of `path` loads (see
 // OpenDatabaseAnyGeneration), runs the in-memory pass, and saves a fresh
-// generation when anything changed — an entry repaired, or the open needed
-// the backup / a salvage parse (rewriting then restores a pristine,
-// fully-checksummed current generation). Fallback and salvage details land
-// in *salvage (nullptr to discard).
+// library generation (SaveDatabase) when anything changed — an entry
+// repaired, or the open needed a backup generation / a salvage parse
+// (rewriting then restores a pristine, fully-checksummed generation) — and
+// always for a legacy CMDB file, which it migrates in place to a 1-shard
+// library. Fallback and salvage details land in *salvage (nullptr to
+// discard).
 util::StatusOr<RepairReport> RepairDatabaseFile(const std::string& path,
                                                 const RemineFn& remine,
                                                 util::SalvageReport* salvage);

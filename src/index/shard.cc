@@ -210,7 +210,7 @@ util::StatusOr<ShardLogContents> ParseShardLog(
 
 // True when a complete, checksum-confirmed record frame (entry or
 // tombstone) starts at `pos` — the salvage scanner's resynchronisation
-// probe, same 2^-32 false-positive bound as the monolithic entry scan.
+// probe; the CRC makes a false positive on arbitrary bytes ~2^-32.
 bool ConfirmedFrameAt(const uint8_t* data, size_t size, size_t pos) {
   if (pos + 12 > size) return false;
   const uint32_t magic = ReadU32LE(data + pos);
@@ -407,6 +407,17 @@ util::StatusOr<ShardLogContents> ReadLogHeaderOf(const std::string& path) {
   return log;
 }
 
+// The first four bytes of `path` as a little-endian u32; 0 when the file
+// is missing or shorter.
+uint32_t RootMagic(const std::string& path) {
+  FILE* f = fopen(path.c_str(), "rb");
+  if (f == nullptr) return 0;
+  uint8_t buf[4];
+  const size_t n = fread(buf, 1, sizeof(buf), f);
+  fclose(f);
+  return n == sizeof(buf) ? ReadU32LE(buf) : 0;
+}
+
 }  // namespace
 
 std::string ShardPath(const std::string& path, int shard) {
@@ -488,20 +499,14 @@ util::StatusOr<ShardManifest> ParseShardManifest(
 }
 
 bool IsShardedDatabasePath(const std::string& path) {
-  FILE* f = fopen(path.c_str(), "rb");
-  if (f != nullptr) {
-    uint8_t buf[4];
-    const size_t n = fread(buf, 1, sizeof(buf), f);
-    fclose(f);
-    if (n == sizeof(buf)) {
-      const uint32_t magic = ReadU32LE(buf);
-      if (magic == kShardManifestMagic) return true;
-      if (magic == kCmdbMagic) return false;
-    }
-  }
+  const uint32_t magic = RootMagic(path);
+  if (magic == kShardManifestMagic) return true;
+  // A legacy CMDB root wins over any shard log next to it: that log can
+  // only be the leftover of a migration that crashed before its manifest.
+  if (magic == kCmdbMagic) return false;
   // Damaged or missing root: a shard-0 log next to it still identifies the
   // layout, so a corrupt manifest degrades into reconstruction instead of
-  // being misread as a broken monolithic file.
+  // being misread as a broken legacy file.
   return FileExists(ShardPath(path, 0)) ||
          FileExists(ShardBackupPath(path, 0));
 }
@@ -838,6 +843,11 @@ util::StatusOr<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Open(
     OpenReport* open_report, bool read_only) {
   util::SalvageReport local;
   if (report == nullptr) report = &local;
+  if (RootMagic(path) == kCmdbMagic) {
+    return util::Status::InvalidArgument(
+        path + " is a legacy CMDB database; run `classminer repair` on it "
+               "to migrate it to a library");
+  }
 
   ShardManifest manifest;
   bool manifest_ok = false;
@@ -1128,26 +1138,8 @@ util::StatusOr<VideoDatabase> LoadShardedDatabase(const std::string& path) {
   return db;
 }
 
-util::StatusOr<VideoDatabase> LoadShardedDatabaseSalvage(
-    const std::string& path, util::SalvageReport* report, bool* used_backup,
-    bool* salvaged) {
-  ShardedDatabase::OpenReport open_report;
-  util::StatusOr<std::unique_ptr<ShardedDatabase>> db =
-      ShardedDatabase::Open(path, report, &open_report, /*read_only=*/true);
-  if (!db.ok()) return db.status();
-  if (used_backup != nullptr) *used_backup = open_report.any_backup();
-  if (salvaged != nullptr) {
-    *salvaged = open_report.any_salvaged() || open_report.any_lost();
-  }
-  return (*db)->Snapshot();
-}
-
 util::StatusOr<std::vector<ShardedDatabase::CompactionReport>>
 CompactDatabaseFile(const std::string& path, int shard, bool force) {
-  if (!IsShardedDatabasePath(path)) {
-    return util::Status::InvalidArgument(
-        path + " is not a sharded database (nothing to compact)");
-  }
   util::SalvageReport report;
   util::StatusOr<std::unique_ptr<ShardedDatabase>> db =
       ShardedDatabase::Open(path, &report);
@@ -1162,7 +1154,6 @@ CompactDatabaseFile(const std::string& path, int shard, bool force) {
 }
 
 void VerifyShardedDatabaseFile(const std::string& path, VerifyReport* report) {
-  report->sharded = true;
   util::StatusOr<std::vector<uint8_t>> bytes = util::ReadFile(path);
   if (!bytes.ok()) {
     report->error = bytes.status().message();

@@ -16,12 +16,13 @@
 namespace classminer::index {
 
 // ---------------------------------------------------------------------------
-// Sharded append-log database tier.
+// The sharded append-log library: the one on-disk database format.
 //
-// A monolithic CMDB rewrites the whole file per save, so one upsert into a
-// 100k-video library costs O(library). This tier hash-partitions entries
-// across N shard logs (the paper's leaf hash-table indexing, Fig. 2) so an
-// upsert appends O(entry) to exactly one log.
+// Entries are hash-partitioned across N shard logs (the paper's leaf
+// hash-table indexing, Fig. 2), so an upsert appends O(entry) to exactly
+// one log instead of rewriting the library. A full save with no shard count
+// of its own (SaveDatabase on a fresh path, repair migrating a legacy CMDB
+// file) writes N = 1.
 //
 // On disk:
 //   <path>              shard manifest "CMSM": version u32, shard count u32,
@@ -33,13 +34,12 @@ namespace classminer::index {
 //   <path>.shard<k>     append-only log: header "CMSL" (version u32, shard
 //                       index u32, shard count u32, generation u64)
 //                       followed by self-delimiting CRC'd records — an
-//                       upsert is exactly a monolithic v3 "CMVE" entry
-//                       frame; a delete is a "CMVT" tombstone frame whose
-//                       body is the entry name. Later records supersede
-//                       earlier ones.
+//                       upsert is a "CMVE" entry frame (the layout of a
+//                       legacy CMDB v3 entry); a delete is a "CMVT"
+//                       tombstone frame whose body is the entry name.
+//                       Later records supersede earlier ones.
 //   <path>.shard<k>.prev  the previous generation of that shard, rotated
-//                       aside by compaction exactly like the monolithic
-//                       two-generation machinery.
+//                       aside by compaction and full saves.
 //
 // Replay: a shard's live state is the last record per name, tombstones
 // erasing. Superseded records + tombstones are "dead" bytes; compaction
@@ -87,9 +87,10 @@ std::vector<uint8_t> SerializeShardManifest(const ShardManifest& manifest);
 util::StatusOr<ShardManifest> ParseShardManifest(
     const std::vector<uint8_t>& bytes);
 
-// True when `path` names a sharded database: the root file carries the CMSM
-// magic, or (root damaged or missing) a shard-0 log sits next to it. The
-// persist entry points dispatch on this.
+// True when `path` names a library: the root file carries the CMSM magic,
+// or (root damaged or missing, but not a legacy CMDB file) a shard-0 log
+// sits next to it. The persist entry points dispatch on this; anything
+// else is read as a legacy CMDB file.
 bool IsShardedDatabasePath(const std::string& path);
 
 // Shard count of an existing sharded database, from the manifest or (when
@@ -132,7 +133,8 @@ class ShardedDatabase {
       const std::string& path, const Options& options);
 
   // Opens an existing sharded database, parsing shards in parallel with
-  // per-shard fallback (see file comment). Fallbacks and salvage decisions
+  // per-shard fallback (see file comment). A legacy CMDB root is refused
+  // with kInvalidArgument naming `repair`, which migrates it. Fallbacks and salvage decisions
   // land in `report`; per-shard outcomes in `open_report` (both optional).
   // Read-write opens (`read_only == false`) truncate torn shard tails back
   // to the last checksum-confirmed frame so subsequent appends extend a
@@ -193,8 +195,10 @@ class ShardedDatabase {
 
 // Full rewrite of a sharded database from `db` (every shard advances one
 // generation through the staged compaction path, then the manifest). Used
-// by SaveDatabase dispatch, repair promotion, and bulk loads; `shard_count`
-// must be >= 1.
+// by SaveDatabase, repair promotion and migration, and bulk loads;
+// `shard_count` must be >= 1. The manifest lands last, in one atomic
+// rename over the root, so a crash before it leaves whatever the root held
+// (a previous library generation, a legacy CMDB file) in charge.
 util::Status SaveShardedDatabase(const VideoDatabase& db,
                                  const std::string& path, int shard_count);
 
@@ -202,16 +206,10 @@ util::Status SaveShardedDatabase(const VideoDatabase& db,
 // (generation staleness stays advisory). Parses shards in parallel.
 util::StatusOr<VideoDatabase> LoadShardedDatabase(const std::string& path);
 
-// Best-effort load via a read-only ShardedDatabase::Open (no file is
-// modified). `used_backup` / `salvaged` (optional) report whether any shard
-// fell back or needed salvage.
-util::StatusOr<VideoDatabase> LoadShardedDatabaseSalvage(
-    const std::string& path, util::SalvageReport* report, bool* used_backup,
-    bool* salvaged);
-
 // Open-compact-close convenience for the scrubber, server ops and the CLI:
 // compacts shard `shard` (-1 = every shard with dead records). Returns the
-// per-shard reports, skipped shards included.
+// per-shard reports, skipped shards included. Refuses a legacy CMDB file
+// like Open does.
 util::StatusOr<std::vector<ShardedDatabase::CompactionReport>>
 CompactDatabaseFile(const std::string& path, int shard = -1,
                     bool force = false);

@@ -114,23 +114,23 @@ OpResult SkimOp(const std::string& path, int level, const OpEnv& env,
                 OpDiagnostics* diag, codec::CmvFile* file_out = nullptr,
                 core::MiningResult* result_out = nullptr);
 
-// verify <db>: integrity audit of one database file. Status is kOk only
-// when the file is pristine (kDataLoss("database not clean") otherwise);
-// the report is returned either way.
+// verify <db>: integrity audit of one database. Status is kOk only when
+// it is a pristine library (kDataLoss("database not clean") otherwise; a
+// legacy CMDB file is never clean); the report is returned either way.
 OpResult VerifyOp(const std::string& db_path);
 
 // repair <db>: re-mines degraded entries from `env.media_dir` and rewrites
-// the database when anything healed. Status is kOk when no entry was left
+// the database when anything healed; a legacy CMDB file is migrated in
+// place to a 1-shard library. Status is kOk when no entry was left
 // unrepaired (kDataLoss otherwise); the report is returned either way.
 OpResult RepairOp(const std::string& db_path, const OpEnv& env,
                   OpDiagnostics* diag);
 
-// compact <db> [--shard K] [--force]: folds a sharded database's append
-// logs into pristine generations, dropping superseded records and
-// tombstones (shard < 0 = every shard; force folds even shards with no
-// dead records). The report lists each shard's verdict. Monolithic files
-// are refused with kInvalidArgument — compaction is a sharded-tier
-// operation, never a silent whole-file rewrite.
+// compact <db> [--shard K] [--force]: folds a library's append logs into
+// pristine generations, dropping superseded records and tombstones
+// (shard < 0 = every shard; force folds even shards with no dead records).
+// The report lists each shard's verdict. A legacy CMDB file is refused
+// with kInvalidArgument naming `repair`, never silently migrated.
 OpResult CompactOp(const std::string& db_path, int shard, bool force);
 
 }  // namespace classminer::server

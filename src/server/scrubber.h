@@ -20,8 +20,9 @@ namespace classminer::server {
 //
 // A single low-priority thread periodically audits the configured database
 // through the same ops layer the request path uses (`VerifyOp`), and when
-// the audit finds degraded or damaged entries it schedules a re-mine repair
-// (`RepairOp`, sourcing pristine containers from the media dir) followed by
+// the audit finds degraded or damaged entries (or a legacy CMDB file) it
+// schedules a re-mine repair (`RepairOp`, sourcing pristine containers from
+// the media dir; it also migrates a legacy file to a library) followed by
 // a confirming re-verify. Scrub work yields to client traffic: before each
 // pass the scrubber waits for the server's admission queue and workers to
 // go quiet, but only up to a bounded grace period — under sustained load it
@@ -38,11 +39,11 @@ struct ScrubberOptions {
   // Load probe: true while client work is queued or executing. Polled
   // between yields; null = never busy.
   std::function<bool()> busy;
-  // Also fold a sharded database's append logs after each pass that left
-  // the file clean: dead records (superseded upserts, tombstones) are the
-  // normal exhaust of the append-only tier, and the scrubber is the
+  // Also fold the library's append logs after each pass that left it
+  // clean: dead records (superseded upserts, tombstones) are the normal
+  // exhaust of the append-only logs, and the scrubber is the
   // daemon-resident janitor that keeps them from accumulating. Shards with
-  // nothing dead are skipped; monolithic databases ignore this flag.
+  // nothing dead are skipped.
   bool compact_logs = false;
   // Environment for the repair re-mine (mining options + media dir).
   OpEnv env;
@@ -60,7 +61,7 @@ struct ScrubberStats {
   uint64_t last_degraded = 0;    // degraded entries left after the last pass
   std::string last_error;        // first integrity failure of the last pass
   // Shard-log compaction (only moves when ScrubberOptions::compact_logs is
-  // set and the database is sharded).
+  // set).
   uint64_t compactions = 0;          // passes that folded at least one shard
   uint64_t compaction_failures = 0;  // compaction attempts that errored
   uint64_t dead_dropped = 0;         // dead records reclaimed, lifetime

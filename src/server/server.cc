@@ -1,12 +1,8 @@
 #include "server/server.h"
 
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <cerrno>
 #include <cstring>
@@ -153,53 +149,43 @@ struct ClassMinerServer::TaskCtx {
   std::shared_ptr<ConnShared> shared;
 };
 
-// Readiness multiplexer: epoll on Linux, poll(2) everywhere else (and as a
-// runtime fallback when epoll_create1 fails). Watches are tagged with the
-// connection id (0 = listener, 1 = wake pipe).
+// Readiness multiplexer over epoll. Watches are tagged with the connection
+// id (0 = listener, 1 = wake pipe).
 class ClassMinerServer::Poller {
  public:
   struct Ready {
     uint64_t tag = 0;
     bool readable = false;
     bool writable = false;
-    bool hangup = false;  // peer fully closed (POLLHUP)
+    bool hangup = false;  // peer fully closed (EPOLLHUP)
     bool error = false;
   };
 
-  Poller() {
-#ifdef __linux__
-    epfd_ = epoll_create1(EPOLL_CLOEXEC);
-#endif
+  // Fails with kInternal when the kernel refuses an epoll instance.
+  static util::StatusOr<std::unique_ptr<Poller>> Create() {
+    const int epfd = epoll_create1(EPOLL_CLOEXEC);
+    if (epfd < 0) {
+      return util::Status::Internal(std::string("epoll_create1: ") +
+                                    std::strerror(errno));
+    }
+    return std::unique_ptr<Poller>(new Poller(epfd));
   }
-  ~Poller() {
-    if (epfd_ >= 0) CloseFd(epfd_);
-  }
+  ~Poller() { CloseFd(epfd_); }
 
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
 
   util::Status Add(int fd, uint64_t tag, bool read, bool write) {
-    watched_[fd] = Watch{tag, read, write};
-    return Ctl(fd, tag, read, write, /*add=*/true);
+    return Ctl(EPOLL_CTL_ADD, fd, tag, read, write);
   }
 
   util::Status Mod(int fd, uint64_t tag, bool read, bool write) {
-    auto it = watched_.find(fd);
-    if (it == watched_.end()) {
-      return util::Status::Internal("poller: fd not watched");
-    }
-    it->second = Watch{tag, read, write};
-    return Ctl(fd, tag, read, write, /*add=*/false);
+    return Ctl(EPOLL_CTL_MOD, fd, tag, read, write);
   }
 
   void Del(int fd) {
-    watched_.erase(fd);
-#ifdef __linux__
-    if (epfd_ >= 0) {
-      epoll_event ev{};
-      (void)epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
-    }
-#endif
+    epoll_event ev{};
+    (void)epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
   }
 
   // Blocks until at least one watched fd is ready or `timeout_ms` elapses
@@ -208,93 +194,42 @@ class ClassMinerServer::Poller {
   // of stranding them.
   util::Status Wait(std::vector<Ready>* out, int timeout_ms) {
     out->clear();
-#ifdef __linux__
-    if (epfd_ >= 0) {
-      epoll_event events[128];
-      int n;
-      do {
-        n = epoll_wait(epfd_, events, 128, timeout_ms);
-      } while (n < 0 && errno == EINTR);
-      if (n < 0) {
-        return util::Status::Internal(std::string("epoll_wait: ") +
-                                      std::strerror(errno));
-      }
-      for (int i = 0; i < n; ++i) {
-        Ready r;
-        r.tag = events[i].data.u64;
-        r.readable = (events[i].events & EPOLLIN) != 0;
-        r.writable = (events[i].events & EPOLLOUT) != 0;
-        r.hangup = (events[i].events & EPOLLHUP) != 0;
-        r.error = (events[i].events & EPOLLERR) != 0;
-        out->push_back(r);
-      }
-      return util::Status::Ok();
-    }
-#endif
-    std::vector<pollfd> fds;
-    std::vector<uint64_t> tags;
-    fds.reserve(watched_.size());
-    tags.reserve(watched_.size());
-    for (const auto& [fd, watch] : watched_) {
-      pollfd p{};
-      p.fd = fd;
-      p.events = static_cast<short>((watch.read ? POLLIN : 0) |
-                                    (watch.write ? POLLOUT : 0));
-      fds.push_back(p);
-      tags.push_back(watch.tag);
-    }
+    epoll_event events[128];
     int n;
     do {
-      n = poll(fds.data(), fds.size(), timeout_ms);
+      n = epoll_wait(epfd_, events, 128, timeout_ms);
     } while (n < 0 && errno == EINTR);
     if (n < 0) {
-      return util::Status::Internal(std::string("poll: ") +
+      return util::Status::Internal(std::string("epoll_wait: ") +
                                     std::strerror(errno));
     }
-    for (size_t i = 0; i < fds.size(); ++i) {
-      if (fds[i].revents == 0) continue;
+    for (int i = 0; i < n; ++i) {
       Ready r;
-      r.tag = tags[i];
-      r.readable = (fds[i].revents & POLLIN) != 0;
-      r.writable = (fds[i].revents & POLLOUT) != 0;
-      r.hangup = (fds[i].revents & POLLHUP) != 0;
-      r.error = (fds[i].revents & (POLLERR | POLLNVAL)) != 0;
+      r.tag = events[i].data.u64;
+      r.readable = (events[i].events & EPOLLIN) != 0;
+      r.writable = (events[i].events & EPOLLOUT) != 0;
+      r.hangup = (events[i].events & EPOLLHUP) != 0;
+      r.error = (events[i].events & EPOLLERR) != 0;
       out->push_back(r);
     }
     return util::Status::Ok();
   }
 
  private:
-  struct Watch {
-    uint64_t tag = 0;
-    bool read = false;
-    bool write = false;
-  };
+  explicit Poller(int epfd) : epfd_(epfd) {}
 
-  util::Status Ctl(int fd, uint64_t tag, bool read, bool write, bool add) {
-#ifdef __linux__
-    if (epfd_ >= 0) {
-      epoll_event ev{};
-      ev.events = (read ? EPOLLIN : 0u) | (write ? EPOLLOUT : 0u);
-      ev.data.u64 = tag;
-      if (epoll_ctl(epfd_, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, fd, &ev) !=
-          0) {
-        return util::Status::Internal(std::string("epoll_ctl: ") +
-                                      std::strerror(errno));
-      }
+  util::Status Ctl(int op, int fd, uint64_t tag, bool read, bool write) {
+    epoll_event ev{};
+    ev.events = (read ? EPOLLIN : 0u) | (write ? EPOLLOUT : 0u);
+    ev.data.u64 = tag;
+    if (epoll_ctl(epfd_, op, fd, &ev) != 0) {
+      return util::Status::Internal(std::string("epoll_ctl: ") +
+                                    std::strerror(errno));
     }
-#else
-    (void)fd;
-    (void)tag;
-    (void)read;
-    (void)write;
-    (void)add;
-#endif
     return util::Status::Ok();
   }
 
-  int epfd_ = -1;
-  std::unordered_map<int, Watch> watched_;  // authoritative for poll()
+  const int epfd_;
 };
 
 ClassMinerServer::ClassMinerServer(ServerOptions options)
@@ -337,10 +272,13 @@ util::Status ClassMinerServer::Start() {
   util::Status setup = SetNonBlocking(*fd, true);
   if (setup.ok()) setup = SetNonBlocking(wake_fds_[0], true);
   if (setup.ok()) setup = SetNonBlocking(wake_fds_[1], true);
-  auto poller = std::make_unique<Poller>();
-  if (setup.ok()) setup = poller->Add(*fd, 0, /*read=*/true, /*write=*/false);
+  util::StatusOr<std::unique_ptr<Poller>> poller = Poller::Create();
+  if (setup.ok()) setup = poller.status();
   if (setup.ok()) {
-    setup = poller->Add(wake_fds_[0], 1, /*read=*/true, /*write=*/false);
+    setup = (*poller)->Add(*fd, 0, /*read=*/true, /*write=*/false);
+  }
+  if (setup.ok()) {
+    setup = (*poller)->Add(wake_fds_[0], 1, /*read=*/true, /*write=*/false);
   }
   if (!setup.ok()) {
     CloseFd(*fd);
@@ -351,7 +289,7 @@ util::Status ClassMinerServer::Start() {
   }
   listen_fd_ = *fd;
   port_ = *port;
-  poller_ = std::move(poller);
+  poller_ = std::move(poller).value();
   pool_ = std::make_unique<util::ThreadPool>(options_.worker_threads);
   if (!options_.scrub_db_path.empty() && options_.scrub_interval_ms > 0) {
     ScrubberOptions scrub;

@@ -30,8 +30,8 @@ namespace classminer::server {
 // classminerd — the mining daemon, built as a readiness-driven reactor.
 //
 // One reactor thread owns every socket: it accepts, assembles request
-// frames from partial reads on non-blocking fds (epoll when available,
-// poll otherwise), and drains per-connection write queues when sockets
+// frames from partial reads on non-blocking fds (epoll), and drains
+// per-connection write queues when sockets
 // become writable. Operations execute on a shared util::ThreadPool; workers
 // never touch a socket — they hand responses (and streamed report chunks)
 // back to the reactor through an event queue. The thread footprint is fixed
@@ -213,7 +213,7 @@ class ClassMinerServer {
   struct Connection;   // reactor-owned per-session state machine
   struct ConnShared;   // the slice workers may touch (backpressure)
   struct TaskCtx;      // everything a pool task needs, detached from conn
-  class Poller;        // epoll with poll fallback
+  class Poller;        // epoll readiness set
 
   // One parsed-but-not-dispatched request (or a pre-answered parse error).
   struct PendingRequest {

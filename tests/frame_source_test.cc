@@ -329,66 +329,6 @@ TEST(FrameSourceTest, LruEvictsUnderTinyCache) {
   EXPECT_EQ(pinned->image(), full->frame(0));
 }
 
-TEST(FrameSourceTest, AdaptiveCapacityStopsScanThrashing) {
-  // 40 frames at GOP size 8: five GOPs. A repeated scan touching one frame
-  // per GOP is the LRU worst case for a capacity-1 cache — every access
-  // evicts the GOP the next sweep needs, so a fixed cache re-decodes the
-  // whole file on every pass.
-  const codec::CmvFile file = EncodeTestFile(40, 8);
-  ASSERT_EQ(file.gop_count(), 5);
-  util::StatusOr<media::Video> full = codec::DecodeVideo(file);
-  ASSERT_TRUE(full.ok());
-  const std::vector<int> sweep = {0, 8, 16, 24, 32};  // one frame per GOP
-
-  // Fixed capacity 1: thrashes forever — 5 decodes per sweep, no hits.
-  codec::FrameSource::Options fixed;
-  fixed.cache_capacity_gops = 1;
-  util::StatusOr<std::unique_ptr<codec::FrameSource>> fixed_source =
-      codec::FrameSource::Create(&file, fixed);
-  ASSERT_TRUE(fixed_source.ok());
-  for (int pass = 0; pass < 3; ++pass) {
-    for (int f : sweep) ASSERT_TRUE((*fixed_source)->GetFrame(f).ok());
-  }
-  EXPECT_EQ((*fixed_source)->stats().decoded_gops, 15);
-  EXPECT_EQ((*fixed_source)->stats().cache_hits, 0);
-  EXPECT_EQ((*fixed_source)->stats().capacity_gops, 1);
-
-  // Same base capacity with an adaptive ceiling: the second sweep's misses
-  // land on GOPs already decoded once, so the source recognises eviction
-  // thrash and doubles 1 -> 2 -> 4 -> 8. From the third sweep on, the whole
-  // working set fits and every access is a hit.
-  codec::FrameSource::Options adaptive;
-  adaptive.cache_capacity_gops = 1;
-  adaptive.cache_capacity_max_gops = 8;
-  util::StatusOr<std::unique_ptr<codec::FrameSource>> source =
-      codec::FrameSource::Create(&file, adaptive);
-  ASSERT_TRUE(source.ok());
-  for (int pass = 0; pass < 3; ++pass) {
-    for (int f : sweep) ASSERT_TRUE((*source)->GetFrame(f).ok());
-  }
-  codec::FrameSource::Stats stats = (*source)->stats();
-  EXPECT_EQ(stats.decoded_gops, 9);  // 5 first-time + 4 thrash re-decodes
-  EXPECT_EQ(stats.capacity_grows, 3);
-  EXPECT_EQ(stats.capacity_gops, 8);
-
-  // Plateau: further sweeps decode nothing new and stay bit-identical.
-  for (int f : sweep) {
-    util::StatusOr<codec::FrameHandle> h = (*source)->GetFrame(f);
-    ASSERT_TRUE(h.ok());
-    EXPECT_EQ(h->image(), full->frame(f));
-  }
-  EXPECT_EQ((*source)->stats().decoded_gops, 9);
-
-  // Contraction: hammering a single GOP gives miss-free windows touching
-  // far less than half the grown capacity, so it halves back to base
-  // (8 -> 4 -> 2 -> 1) without re-decoding the hot GOP.
-  for (int i = 0; i < 6 * 64; ++i) ASSERT_TRUE((*source)->GetFrame(0).ok());
-  stats = (*source)->stats();
-  EXPECT_EQ(stats.capacity_gops, 1);
-  EXPECT_EQ(stats.capacity_shrinks, 3);
-  EXPECT_EQ(stats.decoded_gops, 9);
-}
-
 TEST(FrameSourceTest, OutOfRangeFrameFails) {
   const codec::CmvFile file = EncodeTestFile(10, 8);
   util::StatusOr<std::unique_ptr<codec::FrameSource>> source =

@@ -10,11 +10,19 @@
 // pool widths 1 and 4, the salvage DC decode and GopReader — at every
 // dispatch level. Each must end cleanly, and status, salvage notes and
 // decoded pixels must not depend on the width or the level.
+//
+// Persistence slice: CMSM manifest bytes, CMSL shard-log bytes and legacy
+// CMDB v1/v2/v3 bytes are damaged the same way, half the time with their
+// record (or manifest) checksums recomputed over the damage, as a crafted
+// file would carry them. Every strict parse, ShardedDatabase::Open and
+// legacy import must end OK or with a clean status; salvage must never
+// crash.
 
 #include <sys/socket.h>
 #include <sys/time.h>
 
 #include <chrono>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <thread>
@@ -26,6 +34,9 @@
 #include "codec/encoder.h"
 #include "codec/gop_reader.h"
 #include "gtest/gtest.h"
+#include "index/persist.h"
+#include "index/shard.h"
+#include "legacy_cmdb.h"
 #include "media/draw.h"
 #include "mutator.h"
 #include "server/client.h"
@@ -36,6 +47,8 @@
 #include "util/crc32.h"
 #include "util/exec_context.h"
 #include "util/rng.h"
+#include "util/salvage.h"
+#include "util/serial.h"
 #include "util/threadpool.h"
 
 namespace classminer::server {
@@ -612,3 +625,366 @@ TEST(CmvMutationTest, FramePayloadsDecodeCleanly) {
 
 }  // namespace
 }  // namespace classminer::codec
+
+namespace classminer::index {
+namespace {
+
+using mutation::Damage;
+using mutation::Mutator;
+using mutation::Sample;
+using util::StatusCode;
+
+constexpr uint64_t kPersistSeed = 0x4c534d43;  // "CMSL"
+constexpr uint32_t kTombstoneMagic = 0x54564d43;  // "CMVT"
+constexpr size_t kLogHeaderBytes = 24;
+
+// The codes a database reader may answer hostile bytes with (kNotFound:
+// a manifest that lies about the shard count names logs that do not
+// exist).
+bool CleanStatus(StatusCode code) {
+  return code == StatusCode::kOk || code == StatusCode::kDataLoss ||
+         code == StatusCode::kInvalidArgument ||
+         code == StatusCode::kNotFound;
+}
+
+void PutFile(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
+  std::fclose(f);
+}
+
+void RemoveLibrary(const std::string& path) {
+  for (const std::string& file :
+       {path, path + ".tmp", DatabaseBackupPath(path)}) {
+    std::remove(file.c_str());
+  }
+  for (int k = 0; k < 4; ++k) {
+    std::remove(ShardPath(path, k).c_str());
+    std::remove(ShardBackupPath(path, k).c_str());
+    std::remove((ShardPath(path, k) + ".tmp").c_str());
+  }
+}
+
+// Entries with every counted element present (shots with features, groups
+// with clusters, scenes, scene clusters, events), seeded.
+VideoDatabase PersistDatabase(uint64_t seed, int videos) {
+  util::Rng rng(seed);
+  VideoDatabase db;
+  for (int v = 0; v < videos; ++v) {
+    structure::ContentStructure cs;
+    for (int i = 0; i < 3; ++i) {
+      shot::Shot s;
+      s.index = i;
+      s.start_frame = 10 * i;
+      s.end_frame = 10 * i + 9;
+      s.rep_frame = 10 * i + 4;
+      for (double& x : s.features.histogram) x = rng.Uniform(0.0, 1.0);
+      for (double& x : s.features.tamura) x = rng.Uniform(0.0, 1.0);
+      cs.shots.push_back(s);
+    }
+    for (int g = 0; g < 2; ++g) {
+      structure::Group group;
+      group.index = g;
+      group.start_shot = g;
+      group.end_shot = g + 1;
+      group.temporally_related = g == 1;
+      group.clusters.push_back({{g, g + 1}, g});
+      if (g == 1) group.clusters.push_back({{2}, 2});
+      group.rep_shots = {g};
+      cs.groups.push_back(group);
+      structure::Scene scene;
+      scene.index = g;
+      scene.start_group = g;
+      scene.end_group = g;
+      scene.rep_group = g;
+      cs.scenes.push_back(scene);
+    }
+    cs.clustered_scenes.push_back({{0, 1}, 0});
+    std::vector<events::EventRecord> events(2);
+    events[0].scene_index = 0;
+    events[0].type = events::EventType::kDialog;
+    events[1].scene_index = 1;
+    events[1].type = events::EventType::kClinicalOperation;
+    events[1].has_blood = true;
+    db.AddVideo("video" + std::to_string(seed) + "_" + std::to_string(v),
+                std::move(cs), std::move(events), v == 1);
+  }
+  return db;
+}
+
+// Marks every u32 count of the entry body at `at` (the entry codec's
+// layout) and returns the offset just past the body.
+size_t MarkBodyCounts(const VideoEntry& v, size_t at,
+                      std::vector<size_t>* fields) {
+  const structure::ContentStructure& cs = v.structure;
+  fields->push_back(at);  // name length
+  at += 4 + v.name.size();
+  fields->push_back(at);  // shots
+  at += 4 + cs.shots.size() * (16 + sizeof(features::ColorHistogram) +
+                               sizeof(features::TamuraVector));
+  fields->push_back(at);  // groups
+  at += 4;
+  for (const structure::Group& g : cs.groups) {
+    at += 13;
+    fields->push_back(at);  // shot clusters
+    at += 4;
+    for (const structure::ShotCluster& c : g.clusters) {
+      fields->push_back(at);  // cluster shot indices
+      at += 4 + 4 * c.shot_indices.size() + 4;
+    }
+    fields->push_back(at);  // rep shots
+    at += 4 + 4 * g.rep_shots.size();
+  }
+  fields->push_back(at);  // scenes
+  at += 4 + 17 * cs.scenes.size();
+  fields->push_back(at);  // scene clusters
+  at += 4;
+  for (const structure::SceneCluster& c : cs.clustered_scenes) {
+    fields->push_back(at);  // scene cluster indices
+    at += 4 + 4 * c.scene_indices.size() + 4;
+  }
+  fields->push_back(at);  // events
+  return at + 4 + 23 * v.events.size() + 1;
+}
+
+// Recomputes the CRC of every record frame from `at` on whose magic and
+// size are still intact, so damage behind them reaches the entry parser.
+void ResealFrames(std::vector<uint8_t>* bytes, size_t at) {
+  while (at + 12 <= bytes->size()) {
+    const uint32_t magic = Mutator::ReadU32(*bytes, at);
+    const uint32_t size = Mutator::ReadU32(*bytes, at + 4);
+    if ((magic != internal::kEntryFrameMagic && magic != kTombstoneMagic) ||
+        size > bytes->size() - at - 12) {
+      return;
+    }
+    Mutator::WriteU32(bytes, at + 8,
+                      util::Crc32(bytes->data() + at + 12, size));
+    at += 12 + size;
+  }
+}
+
+// A legacy CMDB file of `db` at `version`, its video count and every count
+// in every entry marked (and, for v3, each frame's body size).
+Sample LegacySample(const VideoDatabase& db, uint32_t version) {
+  Sample sample{legacy_cmdb::Serialize(db, version), {8}};
+  size_t at = 12;
+  for (int v = 0; v < db.video_count(); ++v) {
+    if (version >= 3) {
+      sample.length_fields.push_back(at + 4);
+      at += 12;
+    }
+    at = MarkBodyCounts(db.video(v), at, &sample.length_fields);
+    if (version < 2) at -= 1;  // v1 bodies carry no degraded flag
+  }
+  EXPECT_EQ(at, sample.bytes.size()) << "v" << version;
+  return sample;
+}
+
+// The shard-0 log of a 1-shard library holding `db` plus a tombstone for
+// its first entry: the header's shard count, each frame's body size and
+// every count in every entry marked.
+Sample ShardLogSample(const VideoDatabase& db) {
+  util::ByteWriter w;
+  w.PutU32(0x4c534d43);  // "CMSL"
+  w.PutU32(1);           // log version
+  w.PutU32(0);           // shard index
+  w.PutU32(1);           // shard count
+  w.PutU64(1);           // generation
+  Sample sample{{}, {12}};
+  for (int v = 0; v < db.video_count(); ++v) {
+    sample.length_fields.push_back(w.size() + 4);
+    const size_t end =
+        MarkBodyCounts(db.video(v), w.size() + 12, &sample.length_fields);
+    internal::PutFramedEntry(&w, db.video(v));
+    EXPECT_EQ(end, w.size());
+  }
+  util::ByteWriter name;
+  name.PutString(db.video(0).name);
+  sample.length_fields.push_back(w.size() + 4);
+  sample.length_fields.push_back(w.size() + 12);
+  w.PutU32(kTombstoneMagic);
+  w.PutU32(static_cast<uint32_t>(name.size()));
+  w.PutU32(util::Crc32(name.bytes()));
+  w.PutBytes(name.bytes().data(), name.size());
+  sample.bytes = w.Release();
+  return sample;
+}
+
+std::vector<uint8_t> ValidManifest(uint32_t shard_count) {
+  ShardManifest m;
+  m.shard_count = shard_count;
+  m.epoch = 1;
+  m.shards.resize(shard_count);
+  for (ShardManifest::Shard& s : m.shards) s.generation = 1;
+  return SerializeShardManifest(m);
+}
+
+TEST(PersistMutationTest, LegacyCmdbImportEndsCleanly) {
+  Mutator mutator(kPersistSeed);
+  std::vector<Sample> corpus;
+  std::vector<uint32_t> versions;
+  for (uint32_t version = 1; version <= 3; ++version) {
+    for (uint64_t seed : {1u, 2u}) {
+      corpus.push_back(LegacySample(PersistDatabase(seed, 3), version));
+      versions.push_back(version);
+    }
+  }
+  const std::string path = ::testing::TempDir() + "/mutation_legacy.cmdb";
+  RemoveLibrary(path);
+  std::set<Damage> seen;
+  int imported = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const size_t pick = mutator.Below(corpus.size());
+    Damage damage;
+    std::vector<uint8_t> bytes = mutator.Mutate(
+        corpus[pick], corpus[mutator.Below(corpus.size())], &damage);
+    if (versions[pick] == 3 && mutator.Below(2) == 0) ResealFrames(&bytes, 12);
+    seen.insert(damage);
+    const std::string what = "legacy case " + std::to_string(i) + " (v" +
+                             std::to_string(versions[pick]) + ", " +
+                             mutation::DamageName(damage) + ")";
+    const util::StatusOr<VideoDatabase> strict = ParseDatabase(bytes);
+    ASSERT_TRUE(CleanStatus(strict.status().code()))
+        << what << ": " << strict.status().ToString();
+    util::SalvageReport report;
+    const util::StatusOr<VideoDatabase> salvaged =
+        ParseDatabaseSalvage(bytes, &report);
+    ASSERT_TRUE(CleanStatus(salvaged.status().code()))
+        << what << ": " << salvaged.status().ToString();
+    if (i % 8 == 0) {
+      // The file-level import, with the pristine encoding (or another
+      // damaged one) as the previous generation now and then.
+      PutFile(path, bytes);
+      if (mutator.Below(2) == 0) {
+        PutFile(DatabaseBackupPath(path),
+                mutator.Mutate(corpus[pick], corpus[pick]));
+      } else {
+        std::remove(DatabaseBackupPath(path).c_str());
+      }
+      const util::StatusOr<OpenResult> opened =
+          OpenDatabaseAnyGeneration(path, nullptr);
+      ASSERT_TRUE(CleanStatus(opened.status().code()))
+          << what << ": " << opened.status().ToString();
+      (void)VerifyDatabaseFile(path);
+      if (opened.ok()) ++imported;
+    }
+    if (HasFailure()) return;
+  }
+  RemoveLibrary(path);
+  EXPECT_EQ(seen.size(), 4u);  // every kind of damage was dealt
+  EXPECT_GT(imported, 40);     // the damage left plenty to import
+}
+
+TEST(PersistMutationTest, ShardLogsOpenCleanly) {
+  Mutator mutator(kPersistSeed + 1);
+  std::vector<Sample> corpus;
+  for (uint64_t seed : {3u, 4u}) {
+    corpus.push_back(ShardLogSample(PersistDatabase(seed, 3)));
+  }
+  const std::string path = ::testing::TempDir() + "/mutation_shardlog.cmdb";
+  std::set<Damage> seen;
+  int opened_with_entries = 0;
+  for (int i = 0; i < 1200; ++i) {
+    RemoveLibrary(path);
+    const size_t pick = mutator.Below(corpus.size());
+    Damage damage;
+    std::vector<uint8_t> log = mutator.Mutate(
+        corpus[pick], corpus[mutator.Below(corpus.size())], &damage);
+    if (mutator.Below(2) == 0) ResealFrames(&log, kLogHeaderBytes);
+    seen.insert(damage);
+    const std::string what = "shard log case " + std::to_string(i) + " (" +
+                             mutation::DamageName(damage) + ")";
+    PutFile(path, ValidManifest(1));
+    PutFile(ShardPath(path, 0), log);
+    // Half the time the pristine log is there to fall back to.
+    if (mutator.Below(2) == 0) {
+      PutFile(ShardBackupPath(path, 0), corpus[pick].bytes);
+    }
+
+    const util::StatusOr<VideoDatabase> strict = LoadDatabase(path);
+    ASSERT_TRUE(CleanStatus(strict.status().code()))
+        << what << ": " << strict.status().ToString();
+    (void)VerifyDatabaseFile(path);
+    {
+      const util::StatusOr<std::unique_ptr<ShardedDatabase>> read_only =
+          ShardedDatabase::Open(path, nullptr, nullptr, /*read_only=*/true);
+      ASSERT_TRUE(CleanStatus(read_only.status().code()))
+          << what << ": " << read_only.status().ToString();
+      if (read_only.ok() && (*read_only)->live_count() > 0) {
+        ++opened_with_entries;
+      }
+    }
+    if (i % 8 == 0) {
+      // Read-write: truncates torn tails and heals the shard on the next
+      // append; the library must verify clean afterwards.
+      util::StatusOr<std::unique_ptr<ShardedDatabase>> db =
+          ShardedDatabase::Open(path);
+      ASSERT_TRUE(CleanStatus(db.status().code()))
+          << what << ": " << db.status().ToString();
+      if (db.ok()) {
+        VideoDatabase extra = PersistDatabase(9, 1);
+        VideoEntry entry = extra.video(0);
+        ASSERT_TRUE((*db)
+                        ->Upsert(entry.name, entry.structure, entry.events,
+                                 entry.degraded)
+                        .ok())
+            << what;
+        db->reset();
+        const VerifyReport verify = VerifyDatabaseFile(path);
+        EXPECT_TRUE(verify.loadable) << what << ": " << verify.ToString();
+      }
+    }
+    if (HasFailure()) return;
+  }
+  RemoveLibrary(path);
+  EXPECT_EQ(seen.size(), 4u);
+  EXPECT_GT(opened_with_entries, 100);
+}
+
+TEST(PersistMutationTest, ManifestBytesParseAndOpenCleanly) {
+  Mutator mutator(kPersistSeed + 2);
+  std::vector<Sample> corpus;
+  for (uint32_t count : {1u, 2u, 3u}) {
+    corpus.push_back(Sample{ValidManifest(count), {8}});
+  }
+  // A 2-shard library whose logs stay pristine; only the root is damaged.
+  const std::string path = ::testing::TempDir() + "/mutation_manifest.cmdb";
+  RemoveLibrary(path);
+  ASSERT_TRUE(SaveShardedDatabase(PersistDatabase(5, 4), path, 2).ok());
+  std::set<Damage> seen;
+  for (int i = 0; i < 1000; ++i) {
+    Damage damage;
+    std::vector<uint8_t> bytes =
+        mutator.Mutate(corpus[mutator.Below(corpus.size())],
+                       corpus[mutator.Below(corpus.size())], &damage);
+    if (bytes.size() >= 4 && mutator.Below(2) == 0) {
+      Mutator::WriteU32(&bytes, bytes.size() - 4,
+                        util::Crc32(bytes.data(), bytes.size() - 4));
+    }
+    seen.insert(damage);
+    const std::string what = "manifest case " + std::to_string(i) + " (" +
+                             mutation::DamageName(damage) + ")";
+    const util::StatusOr<ShardManifest> parsed = ParseShardManifest(bytes);
+    ASSERT_TRUE(CleanStatus(parsed.status().code()))
+        << what << ": " << parsed.status().ToString();
+
+    PutFile(path, bytes);
+    const util::StatusOr<VideoDatabase> strict = LoadDatabase(path);
+    ASSERT_TRUE(CleanStatus(strict.status().code()))
+        << what << ": " << strict.status().ToString();
+    (void)VerifyDatabaseFile(path);
+    const util::StatusOr<std::unique_ptr<ShardedDatabase>> opened =
+        ShardedDatabase::Open(path, nullptr, nullptr, /*read_only=*/true);
+    ASSERT_TRUE(CleanStatus(opened.status().code()))
+        << what << ": " << opened.status().ToString();
+    if (HasFailure()) return;
+  }
+  RemoveLibrary(path);
+  EXPECT_EQ(seen.size(), 4u);
+}
+
+}  // namespace
+}  // namespace classminer::index

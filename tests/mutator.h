@@ -105,6 +105,23 @@ class Mutator {
     return out;
   }
 
+  // The u32 little-endian field at `offset` (formats that checksum their
+  // records use these to re-seal damage behind a valid CRC).
+  static uint32_t ReadU32(const std::vector<uint8_t>& bytes, size_t offset) {
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<uint32_t>(bytes[offset + i]) << (8 * i);
+    }
+    return v;
+  }
+
+  static void WriteU32(std::vector<uint8_t>* bytes, size_t offset,
+                       uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      (*bytes)[offset + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  }
+
   // Cuts `size` bytes into consecutive pieces of 1..max_piece bytes: the
   // short reads of a dribbling peer.
   std::vector<size_t> Dribble(size_t size, size_t max_piece) {
@@ -131,21 +148,6 @@ class Mutator {
       if (offset + 4 <= sample.bytes.size()) return true;
     }
     return false;
-  }
-
-  static uint32_t ReadU32(const std::vector<uint8_t>& bytes, size_t offset) {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(bytes[offset + i]) << (8 * i);
-    }
-    return v;
-  }
-
-  static void WriteU32(std::vector<uint8_t>* bytes, size_t offset,
-                       uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      (*bytes)[offset + i] = static_cast<uint8_t>(v >> (8 * i));
-    }
   }
 
   uint64_t state_;

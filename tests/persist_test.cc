@@ -2,6 +2,7 @@
 
 #include "index/classifier.h"
 #include "index/persist.h"
+#include "legacy_cmdb.h"
 #include "media/color.h"
 #include "media/draw.h"
 #include "util/rng.h"
@@ -70,7 +71,7 @@ VideoDatabase MakeDatabase() {
 
 TEST(PersistTest, RoundTripPreservesEverything) {
   const VideoDatabase db = MakeDatabase();
-  const std::vector<uint8_t> bytes = SerializeDatabase(db);
+  const std::vector<uint8_t> bytes = legacy_cmdb::Serialize(db);
   util::StatusOr<VideoDatabase> back = ParseDatabase(bytes);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
 
@@ -116,7 +117,7 @@ TEST(PersistTest, BadMagicRejected) {
 
 TEST(PersistTest, TruncationRejected) {
   const VideoDatabase db = MakeDatabase();
-  std::vector<uint8_t> bytes = SerializeDatabase(db);
+  std::vector<uint8_t> bytes = legacy_cmdb::Serialize(db);
   bytes.resize(bytes.size() / 3);
   util::StatusOr<VideoDatabase> back = ParseDatabase(bytes);
   EXPECT_FALSE(back.ok());
@@ -125,7 +126,7 @@ TEST(PersistTest, TruncationRejected) {
 
 TEST(PersistTest, EmptyDatabase) {
   VideoDatabase db;
-  util::StatusOr<VideoDatabase> back = ParseDatabase(SerializeDatabase(db));
+  util::StatusOr<VideoDatabase> back = ParseDatabase(legacy_cmdb::Serialize(db));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->video_count(), 0);
 }

@@ -14,6 +14,7 @@
 #include "core/classminer.h"
 #include "core/cmv_pipeline.h"
 #include "index/persist.h"
+#include "legacy_cmdb.h"
 #include "media/draw.h"
 #include "media/ppm.h"
 #include "shot/detector.h"
@@ -102,7 +103,7 @@ TEST(CorruptionTest, DatabaseTruncationSweep) {
   s.rep_frame = 9;
   cs.shots.push_back(s);
   db.AddVideo("fuzz", std::move(cs), {});
-  const std::vector<uint8_t> bytes = index::SerializeDatabase(db);
+  const std::vector<uint8_t> bytes = legacy_cmdb::Serialize(db);
   for (size_t keep = 0; keep < bytes.size(); keep += 7) {
     std::vector<uint8_t> cut(bytes.begin(),
                              bytes.begin() + static_cast<ptrdiff_t>(keep));
@@ -567,7 +568,11 @@ TEST_F(DegradedMiningTest, BatchAggregatesDegradationAndSalvage) {
 }
 
 // ---------------------------------------------------------------------------
-// Database persistence under damage and across format versions.
+// Legacy CMDB import under damage and across format versions (fixtures
+// from the test-side writer in legacy_cmdb.h).
+
+// Marks the u8 group flag in a HostileCount prefix.
+constexpr uint32_t kGroupFlag = 0xffffffffu;
 
 index::VideoDatabase ThreeVideoDatabase() {
   index::VideoDatabase db;
@@ -585,7 +590,7 @@ index::VideoDatabase ThreeVideoDatabase() {
 
 TEST(DatabaseSalvageTest, TornEntryKeepsValidPrefix) {
   const index::VideoDatabase db = ThreeVideoDatabase();
-  const std::vector<uint8_t> bytes = index::SerializeDatabase(db);
+  const std::vector<uint8_t> bytes = legacy_cmdb::Serialize(db);
   // Tear the file inside the second entry (entries dominate the file, so
   // cutting at 40% lands past the header and first entry).
   std::vector<uint8_t> cut(
@@ -604,7 +609,7 @@ TEST(DatabaseSalvageTest, TornEntryKeepsValidPrefix) {
 
 TEST(DatabaseSalvageTest, DamagedHeaderIsUnrecoverable) {
   const std::vector<uint8_t> bytes =
-      index::SerializeDatabase(ThreeVideoDatabase());
+      legacy_cmdb::Serialize(ThreeVideoDatabase());
   std::vector<uint8_t> damaged = bytes;
   damaged[0] ^= 0xFF;  // magic
   util::SalvageReport report;
@@ -614,7 +619,7 @@ TEST(DatabaseSalvageTest, DamagedHeaderIsUnrecoverable) {
 
 TEST(DatabaseSalvageTest, ErrorsCarrySectionAndOffset) {
   const std::vector<uint8_t> bytes =
-      index::SerializeDatabase(ThreeVideoDatabase());
+      legacy_cmdb::Serialize(ThreeVideoDatabase());
   std::vector<uint8_t> cut(
       bytes.begin(), bytes.begin() + static_cast<ptrdiff_t>(bytes.size() * 2 / 5));
   const util::Status status = index::ParseDatabase(cut).status();
@@ -625,35 +630,9 @@ TEST(DatabaseSalvageTest, ErrorsCarrySectionAndOffset) {
       << status.message();
 }
 
-// Reconstructs a legacy CMDB file (version 1 or 2) from freshly
-// serialised v3 bytes: the version field is stamped back, every entry's
-// 12-byte frame (magic + body size + CRC) is stripped, and for v1 the
-// trailing per-body degraded byte goes too.
-std::vector<uint8_t> StripToLegacy(const std::vector<uint8_t>& v3,
-                                   uint32_t version) {
-  auto read_u32 = [&v3](size_t pos) {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(v3[pos + i]) << (8 * i);
-    return v;
-  };
-  std::vector<uint8_t> out(v3.begin(), v3.begin() + 12);
-  out[4] = static_cast<uint8_t>(version);
-  const uint32_t videos = read_u32(8);
-  size_t pos = 12;
-  for (uint32_t i = 0; i < videos; ++i) {
-    const uint32_t body_size = read_u32(pos + 4);
-    const size_t body = pos + 12;
-    const size_t keep = version >= 2 ? body_size : body_size - 1;
-    out.insert(out.end(), v3.begin() + static_cast<ptrdiff_t>(body),
-               v3.begin() + static_cast<ptrdiff_t>(body + keep));
-    pos = body + body_size;
-  }
-  return out;
-}
-
 TEST(DatabaseSalvageTest, TornEntryResynchronisesOntoNextEntry) {
   const index::VideoDatabase db = ThreeVideoDatabase();
-  std::vector<uint8_t> bytes = index::SerializeDatabase(db);
+  std::vector<uint8_t> bytes = legacy_cmdb::Serialize(db);
   // Flip one byte inside the second entry's body: its checksum fails, and
   // the scan must recover video2 behind the damage.
   const size_t file_mid = bytes.size() * 2 / 5;
@@ -676,7 +655,7 @@ TEST(DatabaseSalvageTest, TornEntryResynchronisesOntoNextEntry) {
 
 TEST(DatabaseSalvageTest, ChecksumMismatchNamesTheDamage) {
   const index::VideoDatabase db = ThreeVideoDatabase();
-  std::vector<uint8_t> damaged = index::SerializeDatabase(db);
+  std::vector<uint8_t> damaged = legacy_cmdb::Serialize(db);
   damaged[damaged.size() * 2 / 5] ^= 0xFF;
   const util::Status status = index::ParseDatabase(damaged).status();
   ASSERT_FALSE(status.ok());
@@ -687,7 +666,7 @@ TEST(DatabaseSalvageTest, ChecksumMismatchNamesTheDamage) {
 TEST(DatabaseVersionTest, DegradedFlagRoundTripsInV2) {
   const index::VideoDatabase db = ThreeVideoDatabase();
   const util::StatusOr<index::VideoDatabase> loaded =
-      index::ParseDatabase(index::SerializeDatabase(db));
+      index::ParseDatabase(legacy_cmdb::Serialize(db));
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded->video_count(), 3);
   EXPECT_FALSE(loaded->video(0).degraded);
@@ -705,7 +684,7 @@ TEST(DatabaseVersionTest, V1FilesWithoutDegradedFlagStillLoad) {
   cs.shots.push_back(s);
   db.AddVideo("legacy", std::move(cs), {}, true);
   const std::vector<uint8_t> v1 =
-      StripToLegacy(index::SerializeDatabase(db), 1);
+      legacy_cmdb::Serialize(db, 1);
   const util::StatusOr<index::VideoDatabase> loaded =
       index::ParseDatabase(v1);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
@@ -718,7 +697,7 @@ TEST(DatabaseVersionTest, V1FilesWithoutDegradedFlagStillLoad) {
 TEST(DatabaseVersionTest, V2FilesWithoutEntryFramesStillLoad) {
   const index::VideoDatabase db = ThreeVideoDatabase();
   const std::vector<uint8_t> v2 =
-      StripToLegacy(index::SerializeDatabase(db), 2);
+      legacy_cmdb::Serialize(db, 2);
   const util::StatusOr<index::VideoDatabase> loaded =
       index::ParseDatabase(v2);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
@@ -731,7 +710,7 @@ TEST(DatabaseVersionTest, V2FilesWithoutEntryFramesStillLoad) {
 TEST(DatabaseVersionTest, V2TornEntryStillSalvagesPrefixOnly) {
   const index::VideoDatabase db = ThreeVideoDatabase();
   const std::vector<uint8_t> v2 =
-      StripToLegacy(index::SerializeDatabase(db), 2);
+      legacy_cmdb::Serialize(db, 2);
   std::vector<uint8_t> cut(
       v2.begin(), v2.begin() + static_cast<ptrdiff_t>(v2.size() * 2 / 5));
   util::SalvageReport report;
@@ -746,13 +725,73 @@ TEST(DatabaseVersionTest, V2TornEntryStillSalvagesPrefixOnly) {
 
 TEST(DatabaseVersionTest, FutureVersionIsRejectedWithClearMessage) {
   std::vector<uint8_t> bytes =
-      index::SerializeDatabase(ThreeVideoDatabase());
+      legacy_cmdb::Serialize(ThreeVideoDatabase());
   bytes[4] = 9;
   const util::Status status = index::ParseDatabase(bytes).status();
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("unsupported CMDB version 9"),
             std::string::npos)
       << status.message();
+}
+
+// One entry body whose count field declares 4,000,000 elements with 64
+// bytes left behind it (room for the enclosing elements, not for those):
+// the entry parser must refuse the count against the bytes left instead of
+// sizing an allocation by it (a 25-byte file once cost 188 MiB of resident
+// memory before failing, and 0xFFFFFFFF groups ~200 GB).
+struct HostileCount {
+  const char* what;             // the field's name in the error message
+  std::vector<uint32_t> prefix;  // fields written after the name
+};
+
+std::vector<HostileCount> HostileCounts() {
+  const uint32_t n = 4000000;
+  // A group is three i32, a u8 flag (kGroupFlag), then its counts.
+  return {{"shot", {n}},
+          {"group", {0, n}},
+          {"shot cluster", {0, 1, 0, 0, 0, kGroupFlag, n}},
+          {"cluster shot index", {0, 1, 0, 0, 0, kGroupFlag, 1, n}},
+          {"rep shot", {0, 1, 0, 0, 0, kGroupFlag, 0, n}},
+          {"scene", {0, 0, n}},
+          {"scene cluster", {0, 0, 0, n}},
+          {"scene cluster index", {0, 0, 0, 1, n}},
+          {"event", {0, 0, 0, 0, n}}};
+}
+
+std::vector<uint8_t> HostileBody(const HostileCount& field) {
+  util::ByteWriter w;
+  w.PutString("x");
+  for (uint32_t word : field.prefix) {
+    if (word == kGroupFlag) {
+      w.PutU8(0);  // temporally_related
+    } else {
+      w.PutU32(word);
+    }
+  }
+  for (int i = 0; i < 64; ++i) w.PutU8(0);
+  return w.Release();
+}
+
+TEST(DatabaseVersionTest, HostileCountsFailBeforeAllocating) {
+  for (const HostileCount& field : HostileCounts()) {
+    const std::vector<uint8_t> body = HostileBody(field);
+    util::ByteWriter file;
+    file.PutU32(legacy_cmdb::kMagic);
+    file.PutU32(2);
+    file.PutU32(1);
+    file.PutBytes(body.data(), body.size());
+    const util::Status status = index::ParseDatabase(file.bytes()).status();
+    EXPECT_EQ(status.code(), util::StatusCode::kDataLoss) << field.what;
+    EXPECT_NE(status.message().find(std::string(field.what) +
+                                    " count exceeds database size"),
+              std::string::npos)
+        << field.what << ": " << status.message();
+    util::SalvageReport report;
+    const util::StatusOr<index::VideoDatabase> salvaged =
+        index::ParseDatabaseSalvage(file.bytes(), &report);
+    ASSERT_TRUE(salvaged.ok()) << field.what;
+    EXPECT_EQ(salvaged->video_count(), 0) << field.what;
+  }
 }
 
 }  // namespace

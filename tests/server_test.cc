@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <fstream>
 #include <future>
 #include <mutex>
@@ -26,6 +27,8 @@
 #include "gtest/gtest.h"
 #include "index/database.h"
 #include "index/persist.h"
+#include "index/shard.h"
+#include "legacy_cmdb.h"
 #include "server/client.h"
 #include "server/ops.h"
 #include "server/protocol.h"
@@ -1481,6 +1484,44 @@ TEST(ScrubberTest, RunOnceHealsADegradedDatabase) {
   EXPECT_EQ(stats.passes, 2u);
   EXPECT_EQ(stats.repairs, 1u);
   EXPECT_TRUE(stats.last_clean);
+}
+
+TEST(ScrubberTest, RunOnceMigratesALegacyDatabase) {
+  // A legacy CMDB file is never clean, so the scrubber's repair migrates
+  // it to a 1-shard library, and the compaction that follows a clean pass
+  // accepts the result.
+  const std::string dir = ::testing::TempDir() + "/scrub_legacy";
+  (void)::mkdir(dir.c_str(), 0755);
+  const std::string db_path = dir + "/legacy.cmdb";
+  for (const std::string& file :
+       {db_path, index::DatabaseBackupPath(db_path),
+        index::ShardPath(db_path, 0), index::ShardBackupPath(db_path, 0)}) {
+    std::remove(file.c_str());
+  }
+  index::VideoDatabase db;
+  structure::ContentStructure cs;
+  cs.shots.emplace_back();
+  db.AddVideo("kept", std::move(cs), {});
+  ASSERT_TRUE(legacy_cmdb::Write(db, db_path).ok());
+  ASSERT_FALSE(index::VerifyDatabaseFile(db_path).clean());
+
+  ScrubberOptions options;
+  options.db_path = db_path;
+  options.env.media_dir = dir;
+  options.compact_logs = true;
+  IntegrityScrubber scrubber(std::move(options));
+  scrubber.RunOnce();
+
+  const ScrubberStats stats = scrubber.StatsSnapshot();
+  EXPECT_EQ(stats.dirty_found, 1u);
+  EXPECT_EQ(stats.repairs, 1u);
+  EXPECT_EQ(stats.compaction_failures, 0u);
+  EXPECT_TRUE(stats.last_clean);
+  const index::VerifyReport verify = index::VerifyDatabaseFile(db_path);
+  EXPECT_TRUE(verify.clean()) << verify.ToString();
+  EXPECT_FALSE(verify.legacy);
+  EXPECT_EQ(verify.shards, 1);
+  EXPECT_EQ(verify.videos, 1);
 }
 
 TEST_F(ServerTest, BackgroundScrubberHealsWhileServingAndReportsInHealth) {

@@ -18,6 +18,8 @@
 #include "index/persist.h"
 #include "index/repair.h"
 #include "index/shard.h"
+#include "legacy_cmdb.h"
+#include "util/crc32.h"
 #include "util/failpoint.h"
 #include "util/salvage.h"
 #include "util/serial.h"
@@ -55,7 +57,7 @@ class ShardTest : public ::testing::Test {
   std::string dir_;
 };
 
-// One single-shot entry, the same shape the monolithic recovery tests use.
+// One single-shot entry, the same shape the recovery tests use.
 index::VideoEntry MakeEntry(const std::string& name, bool degraded = false) {
   index::VideoEntry entry;
   entry.name = name;
@@ -137,7 +139,7 @@ TEST_F(ShardTest, CreateUpsertReopenRoundTrips) {
   EXPECT_EQ(Names(*loaded), expected);
   const index::VerifyReport verify = index::VerifyDatabaseFile(path);
   EXPECT_TRUE(verify.clean()) << verify.ToString();
-  EXPECT_TRUE(verify.sharded);
+  EXPECT_FALSE(verify.legacy);
   EXPECT_EQ(verify.shards, 4);
   EXPECT_EQ(verify.videos, 12);
 }
@@ -566,6 +568,57 @@ TEST_F(ShardTest, SaveDatabaseDispatchKeepsTheShardedLayout) {
   EXPECT_TRUE(index::VerifyDatabaseFile(path).clean());
 }
 
+TEST_F(ShardTest, SaveDatabaseOnAFreshPathWritesOneShard) {
+  const std::string path = FreshDbPath("save_fresh");
+  index::VideoDatabase db;
+  for (int i = 0; i < 3; ++i) {
+    index::VideoEntry entry = MakeEntry("video" + std::to_string(i));
+    db.AddVideo(entry.name, std::move(entry.structure), {}, false);
+  }
+  ASSERT_TRUE(index::SaveDatabase(db, path).ok());
+  EXPECT_TRUE(index::IsShardedDatabasePath(path));
+  const util::StatusOr<int> shards = index::ShardedDatabaseShardCount(path);
+  ASSERT_TRUE(shards.ok());
+  EXPECT_EQ(*shards, 1);
+  const index::VerifyReport verify = index::VerifyDatabaseFile(path);
+  EXPECT_TRUE(verify.clean()) << verify.ToString();
+  EXPECT_EQ(verify.videos, 3);
+}
+
+// A CMVE record with a valid CRC whose body declares 4,000,000 groups: the
+// entry parser must refuse the count against the bytes left (it once sized
+// the group vector by it first), and salvage keeps the records before it.
+TEST_F(ShardTest, ChecksummedFrameWithAHostileCountFailsCleanly) {
+  const std::string path = FreshDbPath("hostile_count");
+  index::VideoDatabase db;
+  index::VideoEntry entry = MakeEntry("kept");
+  db.AddVideo(entry.name, std::move(entry.structure), {}, false);
+  ASSERT_TRUE(index::SaveShardedDatabase(db, path, 1).ok());
+
+  util::ByteWriter body;
+  body.PutString("hostile");
+  body.PutU32(0);        // shots
+  body.PutU32(4000000);  // groups
+  util::ByteWriter frame;
+  frame.PutU32(index::internal::kEntryFrameMagic);
+  frame.PutU32(static_cast<uint32_t>(body.size()));
+  frame.PutU32(util::Crc32(body.bytes()));
+  frame.PutBytes(body.bytes().data(), body.size());
+  std::vector<uint8_t> log = *util::ReadFile(index::ShardPath(path, 0));
+  log.insert(log.end(), frame.bytes().begin(), frame.bytes().end());
+  ASSERT_TRUE(util::WriteFile(index::ShardPath(path, 0), log).ok());
+
+  const util::Status strict = index::LoadDatabase(path).status();
+  EXPECT_EQ(strict.code(), StatusCode::kDataLoss);
+  EXPECT_NE(strict.message().find("group count exceeds database size"),
+            std::string::npos)
+      << strict.message();
+  util::StatusOr<std::unique_ptr<ShardedDatabase>> salvaged =
+      ShardedDatabase::Open(path, nullptr, nullptr, /*read_only=*/true);
+  ASSERT_TRUE(salvaged.ok()) << salvaged.status().message();
+  EXPECT_EQ(Names((*salvaged)->Snapshot()), std::set<std::string>{"kept"});
+}
+
 TEST_F(ShardTest, RepairPromotesASalvagedShardAndStaysSharded) {
   const std::string path = FreshDbPath("repair_sharded");
   ShardedDatabase::Options options;
@@ -627,13 +680,13 @@ TEST_F(ShardTest, CompactDatabaseFileFoldsOnlyDirtyShards) {
   EXPECT_EQ((*reports)[0].dead_dropped, 1u);
   EXPECT_TRUE((*reports)[1].skipped);  // nothing dead in shard 1
 
-  // Monolithic files are refused, not silently rewritten.
-  const std::string mono = FreshDbPath("compact_mono");
-  index::VideoDatabase monodb;
+  // Legacy CMDB files are refused, not silently rewritten.
+  const std::string legacy = FreshDbPath("compact_legacy");
+  index::VideoDatabase legacydb;
   index::VideoEntry entry = MakeEntry("only");
-  monodb.AddVideo(entry.name, std::move(entry.structure), {}, false);
-  ASSERT_TRUE(index::SaveDatabase(monodb, mono).ok());
-  EXPECT_EQ(index::CompactDatabaseFile(mono).status().code(),
+  legacydb.AddVideo(entry.name, std::move(entry.structure), {}, false);
+  ASSERT_TRUE(legacy_cmdb::Write(legacydb, legacy).ok());
+  EXPECT_EQ(index::CompactDatabaseFile(legacy).status().code(),
             StatusCode::kInvalidArgument);
 }
 
